@@ -2,6 +2,8 @@
 square-stable graphs, and verification suites for the characterisation
 theorems that connect them."""
 
+from types import ModuleType as _ModuleType
+
 from .classify import (
     AlphaPlusClass,
     ClassificationReport,
@@ -68,7 +70,6 @@ from .graphs import (
 from .matchings import (
     Matching,
     PerfectMatchingStatus,
-    berge_check,
     count_perfect_matchings,
     is_induced_matching,
     match_into,
@@ -101,9 +102,10 @@ from .verify import (
     run_suite,
     verify_equivalences,
     verify_girth6,
-    verify_inequality_chain,
     verify_tree_theorem,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# The submodules bound as a side effect of the imports above are not exported.
+__all__ = [name for name, value in sorted(globals().items())
+           if not name.startswith("_") and not isinstance(value, _ModuleType)]
 __version__ = "0.1.0"

@@ -20,6 +20,7 @@ from dataclasses import dataclass, field
 from .errors import CapExceededError, InternalCheckError
 from .graphs import (
     Graph,
+    _is_stable_mask,
     bit_indices,
     components,
     induced_subgraph,
@@ -34,6 +35,10 @@ from .graphs import (
 )
 from .matchings import _count_matchings_into, matching_number, pendant_perfect_matching
 from .solvers import (
+    DEFAULT_CAP_OMEGA,
+    OMEGA_CAP,
+    _alpha_mask,
+    _check_cap,
     enumerate_maximal_cliques,
     enumerate_maximal_stable_sets,
     enumerate_maximum_stable_sets,
@@ -137,7 +142,7 @@ def well_covered_counterexample(g: Graph, cap=None):
 
 def is_very_well_covered(g: Graph, cap=None) -> bool:
     """Well-covered with exactly twice the stability number many vertices."""
-    return is_well_covered(g, cap) and g.n == 2 * stability_number(g)
+    return is_well_covered(g, cap) and g.n == 2 * stability_number(g, cap)
 
 
 def is_koenig_egervary(g: Graph, cap=None) -> bool:
@@ -363,16 +368,6 @@ def p2_exchangeability(g: Graph, s, cap=None) -> bool:
     return True
 
 
-def _is_stable_mask(g: Graph, m: int) -> bool:
-    mm = m
-    while mm:
-        b = mm & -mm
-        if g.adj[b.bit_length() - 1] & m:
-            return False
-        mm ^= b
-    return True
-
-
 def _require_maximum_stable(g: Graph, s0, cap=None) -> frozenset[int]:
     s = frozenset(s0)
     if not is_stable_set(g, s):
@@ -415,8 +410,6 @@ def omega_is_matroid(g: Graph, cap_omega=None) -> bool:
     neighbourhood larger than ``I`` (a larger stable set avoiding the
     neighbourhood would itself provide the augmenting element).
     """
-    from .solvers import DEFAULT_CAP_OMEGA, OMEGA_CAP, _alpha_mask, _check_cap
-
     _check_cap(g.n, cap_omega, DEFAULT_CAP_OMEGA, OMEGA_CAP)
     exchange = True
     seen = 0

@@ -13,6 +13,7 @@ import argparse
 import json
 import os
 import sys
+from typing import Iterator
 
 from .classify import classify
 from .errors import CapExceededError, ParseError
@@ -65,15 +66,16 @@ def _read_input(path: str) -> str:
         raise ParseError(f"cannot read {path}: {exc}") from None
 
 
-def _parse_graphs(text: str, fmt: str) -> list[Graph]:
-    if fmt == "edges":
-        return [parse_edge_list(text)]
-    graphs = []
-    for line in text.splitlines():
+def _graph6_lines(text: str) -> Iterator[Graph]:
+    """The graph on each non-blank line, parsed as the line is reached; a bad
+    line raises ``ParseError`` naming its line number."""
+    for number, line in enumerate(text.splitlines(), 1):
         line = line.strip()
         if line:
-            graphs.append(parse_graph6(line))
-    return graphs
+            try:
+                yield parse_graph6(line)
+            except ParseError as exc:
+                raise ParseError(f"line {number}: {exc}") from None
 
 
 def _emit(doc: dict) -> None:
@@ -132,7 +134,7 @@ def cmd_analyze(args) -> int:
     if not any(line.split("#", 1)[0].strip() for line in text.splitlines()):
         print("error: empty input", file=sys.stderr)
         return EXIT_INPUT
-    graphs = _parse_graphs(text, args.format)
+    graphs = [parse_edge_list(text)] if args.format == "edges" else _graph6_lines(text)
     for g in graphs:
         doc = _analyze_doc(g, args)
         if args.text:
@@ -147,7 +149,9 @@ def cmd_analyze(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _family_spec_from_args(tokens: list[str], seed) -> FamilySpec:
+def _family_spec_from_args(tokens: list[str], seed, base, missing_base: str) -> FamilySpec:
+    """The family named by ``tokens``.  The corona takes its base family from
+    the ``base`` tokens, and refuses with ``missing_base`` when there are none."""
     if not tokens:
         raise ParseError("family specification is empty")
     name = tokens[0].replace("-", "_")
@@ -161,6 +165,11 @@ def _family_spec_from_args(tokens: list[str], seed) -> FamilySpec:
         except ValueError:
             raise ParseError(f"non-integer family parameter in {params}") from None
 
+    if name == "corona":
+        if not base:
+            raise ParseError(missing_base)
+        inner = _family_spec_from_args(base, seed, None, missing_base)
+        return FamilySpec(Family.CORONA_K1, base=inner)
     if name == "named":
         if len(params) != 1:
             raise ParseError("named family expects exactly one fixture name")
@@ -195,17 +204,13 @@ def _corpus_from_args(args) -> tuple[list[tuple[str, Graph]], dict, bool]:
         items = [(name, named_fixture(name)) for name in FIXTURE_NAMES]
         return items, {"mode": "fixtures"}, True
     if args.family:
-        if args.family[0] == "corona":
-            if not args.corona_base:
-                raise ParseError("--family corona requires --corona-base FAMILY PARAMS...")
-            base = _family_spec_from_args(args.corona_base, args.seed)
-            g = make_family(FamilySpec(Family.CORONA_K1, base=base))
+        spec = _family_spec_from_args(
+            args.family, args.seed, args.corona_base,
+            "--family corona requires --corona-base FAMILY PARAMS...")
+        gid = " ".join(args.family)
+        if spec.family is Family.CORONA_K1:
             gid = "corona(" + " ".join(args.corona_base) + ")"
-        else:
-            spec = _family_spec_from_args(args.family, args.seed)
-            g = make_family(spec)
-            gid = " ".join(args.family)
-        return [(gid, g)], {"mode": "family", "spec": gid}, True
+        return [(gid, make_family(spec))], {"mode": "family", "spec": gid}, True
     if args.sample is not None:
         if args.seed is None:
             raise ParseError("--sample requires --seed")
@@ -264,14 +269,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_generate(args) -> int:
-    if args.spec and args.spec[0] == "corona":
-        if not args.base:
-            raise ParseError("corona requires --base FAMILY PARAMS...")
-        base = _family_spec_from_args(args.base, args.seed)
-        g = make_family(FamilySpec(Family.CORONA_K1, base=base))
-    else:
-        spec = _family_spec_from_args(args.spec, args.seed)
-        g = make_family(spec)
+    g = make_family(_family_spec_from_args(
+        args.spec, args.seed, args.base, "corona requires --base FAMILY PARAMS..."))
     if args.format == "edges":
         sys.stdout.write(format_edge_list(g))
     else:
@@ -280,11 +279,8 @@ def cmd_generate(args) -> int:
 
 
 def cmd_canonical(args) -> int:
-    text = _read_input(args.input)
-    for line in text.splitlines():
-        line = line.strip()
-        if line:
-            print(canonical_graph6(parse_graph6(line)))
+    for g in _graph6_lines(_read_input(args.input)):
+        print(canonical_graph6(g))
     return EXIT_OK
 
 

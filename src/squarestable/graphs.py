@@ -495,6 +495,11 @@ def is_stable_set(g: Graph, vertices: Iterable[int]) -> bool:
     m = mask_of(vertices)
     if m & ~g.full_mask():
         raise ValueError("vertex out of range")
+    return _is_stable_mask(g, m)
+
+
+def _is_stable_mask(g: Graph, m: int) -> bool:
+    """True iff no two vertices of the in-range mask ``m`` are adjacent."""
     mm = m
     while mm:
         b = mm & -mm

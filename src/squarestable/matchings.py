@@ -13,7 +13,7 @@ import enum
 from collections import deque
 from typing import Iterable, Optional
 
-from .graphs import Graph, bit_indices, induced_subgraph, is_stable_set, mask_of, set_of
+from .graphs import Graph, bit_indices, mask_of
 
 #: A matching is a frozenset of (u, v) edges with u < v, pairwise non-incident.
 Matching = frozenset
@@ -290,26 +290,3 @@ def match_into(g: Graph, a: Iterable[int], s: Iterable[int], cap: int = 2):
     if amask & smask:
         raise ValueError("the two vertex sets must be disjoint")
     return _count_matchings_into(g, amask, smask, cap)
-
-
-def berge_check(g: Graph, s: Iterable[int]) -> bool:
-    """True iff every stable set disjoint from ``s`` can be matched into ``s``.
-
-    Only inclusion-maximal stable sets outside ``s`` need testing, since a
-    matching of a superset restricts to any subset.  This predicate holds
-    exactly when ``s`` is a maximum stable set.
-    """
-    from .solvers import enumerate_maximal_stable_sets
-
-    svs = frozenset(s)
-    if not is_stable_set(g, svs):
-        raise ValueError("s must be a stable set")
-    smask = mask_of(svs)
-    rest = set_of(g.full_mask() & ~smask)
-    sub, remap = induced_subgraph(g, rest)
-    for m in enumerate_maximal_stable_sets(sub):
-        amask = mask_of(remap[i] for i in m)
-        count, _ = _count_matchings_into(g, amask, smask, 1)
-        if count == 0:
-            return False
-    return True

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 from .errors import CapExceededError, InternalCheckError
 from .graphs import Graph, bit_indices, set_of, square
+from .matchings import matching_number
 
 DEFAULT_CAP_N = 64
 DEFAULT_CAP_OMEGA = 24
@@ -357,8 +358,6 @@ def invariant_chain(g: Graph, cap=None, cap_omega=None) -> InvariantRecord:
     asserted before returning; a violation is a solver bug and raises
     :class:`InternalCheckError` rather than returning silently.
     """
-    from .matchings import matching_number
-
     sq = square(g)
     record = InvariantRecord(
         alpha=stability_number(g, cap),

@@ -5,13 +5,19 @@ independent route and must all agree on every graph; further suites check
 the invariant-inequality chain, a battery of implications between the graph
 classes, the tree characterisation with its recursive edge structure, the
 girth-at-least-six characterisation, and the matroid dual-route agreement.
-Violations carry minimal witnesses so a failure is debuggable, and all
-results are deterministic for a given corpus and configuration.
+
+The statements and the implication clauses are tables of predicates over one
+memo per graph, and the suites are a registry that one loop runs.  A
+violation names its graph and clause.  Its witness is the disagreeing values
+or the failed internal check's message; implication clauses do not yet
+produce one, so their witness is empty.  All results are deterministic for a
+given corpus and configuration.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Optional
 
 from .classify import (
@@ -39,8 +45,10 @@ from .graphs import (
     is_chordal,
     is_complete,
     is_connected,
+    is_stable_set,
     is_tree,
     isolated_vertices,
+    pendant_vertices,
     square,
     symmetric_difference_subgraph,
 )
@@ -59,21 +67,89 @@ from .solvers import (
     stability_number,
 )
 
-STATEMENT_NAMES = (
-    "simplex_partition",
-    "alpha_preserved_by_square",
-    "theta_preserved_by_square",
-    "six_invariants_equal",
-    "square_omega_contained",
-    "distance3_maximum_stable_set",
-    "some_set_uniquely_matchable",
-    "all_square_sets_uniquely_matchable",
-    "symmetric_differences_unique_pm",
-    "symmetric_differences_have_pm",
-    "symmetric_differences_induced_pm",
-    "some_set_exchangeable",
-    "all_square_sets_exchangeable",
-)
+
+class _Memo:
+    """The values of one graph that several statements or clauses read.
+
+    The solver results are computed on first use.  ``cached_property`` stores
+    nothing when the computation raises, so a value refused by a cap is
+    refused again at every read, and each of its readers reads ``None``.
+    """
+
+    def __init__(self, g: Graph, cap, cap_omega) -> None:
+        self.g, self.cap, self.cap_omega = g, cap, cap_omega
+        self.sq = square(g)
+        self.dist = distance_matrix(g)
+        self.connected = is_connected(g)
+        self.isolated = g.n == 0 or bool(isolated_vertices(g))
+
+    @cached_property
+    def omega(self) -> tuple:
+        return enumerate_maximum_stable_sets(self.g, self.cap_omega).sets
+
+    @cached_property
+    def omega_sq(self) -> tuple:
+        return enumerate_maximum_stable_sets(self.sq, self.cap_omega).sets
+
+    @cached_property
+    def square_stable(self) -> bool:
+        return stability_number(self.g, self.cap) == stability_number(self.sq, self.cap)
+
+
+def _attempt(predicate, m: _Memo):
+    """The predicate's value, or ``None`` when a cap refuses it."""
+    try:
+        return predicate(m)
+    except CapExceededError:
+        return None
+
+
+def _spread(d: list[list], s) -> bool:
+    """True iff the vertices of ``s`` are pairwise at distance at least 3."""
+    return all(d[a][b] >= 3 for a in s for b in s if a < b)
+
+
+def _differences(m: _Memo):
+    """G[S1 ^ S2] for every S1 in Omega(G) and S2 in Omega(G^2), lazily."""
+    return (
+        symmetric_difference_subgraph(m.g, s1, s2) for s1 in m.omega for s2 in m.omega_sq
+    )
+
+
+# The thirteen characterisations of square-stability for a connected graph,
+# each by its own route, in report order.
+_STATEMENTS = {
+    "simplex_partition": lambda m: simplex_partition_check(m.g),
+    "alpha_preserved_by_square": lambda m: m.square_stable,
+    "theta_preserved_by_square":
+        lambda m: clique_cover_number(m.g, m.cap) == clique_cover_number(m.sq, m.cap),
+    "six_invariants_equal": lambda m: len({
+        stability_number(m.sq, m.cap),
+        clique_cover_number(m.sq, m.cap),
+        domination_number(m.g, m.cap),
+        independent_domination_number(m.g, m.cap_omega),
+        stability_number(m.g, m.cap),
+        clique_cover_number(m.g, m.cap),
+    }) == 1,
+    "square_omega_contained": lambda m: set(m.omega_sq) <= set(m.omega),
+    "distance3_maximum_stable_set": lambda m: any(_spread(m.dist, s) for s in m.omega),
+    "some_set_uniquely_matchable":
+        lambda m: any(p1_unique_matchability(m.g, s) for s in m.omega),
+    "all_square_sets_uniquely_matchable":
+        lambda m: all(p1_unique_matchability(m.g, s) for s in m.omega_sq),
+    "symmetric_differences_unique_pm":
+        lambda m: all(count_perfect_matchings(h, 2) == 1 for h in _differences(m)),
+    "symmetric_differences_have_pm":
+        lambda m: all(2 * matching_number(h) == h.n for h in _differences(m)),
+    "symmetric_differences_induced_pm":
+        lambda m: all(has_induced_perfect_matching(h) for h in _differences(m)),
+    "some_set_exchangeable":
+        lambda m: any(p2_exchangeability(m.g, s, m.cap) for s in m.omega),
+    "all_square_sets_exchangeable":
+        lambda m: all(p2_exchangeability(m.g, s, m.cap) for s in m.omega_sq),
+}
+
+STATEMENT_NAMES = tuple(_STATEMENTS)
 
 
 @dataclass
@@ -86,100 +162,10 @@ class EquivalenceReport:
     def as_dict(self) -> dict:
         return {
             "graph_id": self.graph_id,
-            "statements": {
-                name: value for name, value in zip(STATEMENT_NAMES, self.statements)
-            },
+            "statements": dict(zip(STATEMENT_NAMES, self.statements)),
             "agree": self.agree,
             "failing_pair": self.failing_pair,
         }
-
-
-def _evaluate_statements(g: Graph, cap, cap_omega) -> list:
-    """The thirteen statements for a connected graph, each by its own route."""
-    sq = square(g)
-    cache: dict = {}
-
-    def omega(which: str):
-        if which not in cache:
-            h = g if which == "g" else sq
-            cache[which] = enumerate_maximum_stable_sets(h, cap_omega).sets
-        return cache[which]
-
-    def dist():
-        if "dist" not in cache:
-            cache["dist"] = distance_matrix(g)
-        return cache["dist"]
-
-    def s01() -> bool:
-        return simplex_partition_check(g)
-
-    def s02() -> bool:
-        return stability_number(g, cap) == stability_number(sq, cap)
-
-    def s03() -> bool:
-        return clique_cover_number(g, cap) == clique_cover_number(sq, cap)
-
-    def s04() -> bool:
-        values = {
-            stability_number(sq, cap),
-            clique_cover_number(sq, cap),
-            domination_number(g, cap),
-            independent_domination_number(g, cap_omega),
-            stability_number(g, cap),
-            clique_cover_number(g, cap),
-        }
-        return len(values) == 1
-
-    def s05() -> bool:
-        return set(omega("sq")) <= set(omega("g"))
-
-    def s06() -> bool:
-        d = dist()
-        return any(
-            all(d[a][b] >= 3 for a in s for b in s if a < b) for s in omega("g")
-        )
-
-    def s07() -> bool:
-        return any(p1_unique_matchability(g, s) for s in omega("g"))
-
-    def s08() -> bool:
-        return all(p1_unique_matchability(g, s) for s in omega("sq"))
-
-    def s09() -> bool:
-        return all(
-            count_perfect_matchings(symmetric_difference_subgraph(g, s1, s2), 2) == 1
-            for s1 in omega("g")
-            for s2 in omega("sq")
-        )
-
-    def s10() -> bool:
-        for s1 in omega("g"):
-            for s2 in omega("sq"):
-                h = symmetric_difference_subgraph(g, s1, s2)
-                if 2 * matching_number(h) != h.n:
-                    return False
-        return True
-
-    def s11() -> bool:
-        return all(
-            has_induced_perfect_matching(symmetric_difference_subgraph(g, s1, s2))
-            for s1 in omega("g")
-            for s2 in omega("sq")
-        )
-
-    def s12() -> bool:
-        return any(p2_exchangeability(g, s, cap) for s in omega("g"))
-
-    def s13() -> bool:
-        return all(p2_exchangeability(g, s, cap) for s in omega("sq"))
-
-    values = []
-    for fn in (s01, s02, s03, s04, s05, s06, s07, s08, s09, s10, s11, s12, s13):
-        try:
-            values.append(fn())
-        except CapExceededError:
-            values.append(None)
-    return values
 
 
 def verify_equivalences(g: Graph, cap=None, cap_omega=None, graph_id: str = "") -> EquivalenceReport:
@@ -189,151 +175,119 @@ def verify_equivalences(g: Graph, cap=None, cap_omega=None, graph_id: str = "") 
     whole graph exactly when it holds for every component, and unevaluated
     component results propagate as unevaluated.
     """
-    if is_connected(g):
-        values = _evaluate_statements(g, cap, cap_omega)
-    else:
-        values = [True] * len(STATEMENT_NAMES)
-        for comp in components(g):
-            sub, _ = induced_subgraph(g, comp)
-            for i, v in enumerate(_evaluate_statements(sub, cap, cap_omega)):
-                if v is None:
-                    values[i] = None
-                elif values[i] is not None:
-                    values[i] = values[i] and v
-    evaluated = [(i, v) for i, v in enumerate(values) if v is not None]
-    agree = len({v for _, v in evaluated}) <= 1
+    parts = [g] if is_connected(g) else [induced_subgraph(g, c)[0] for c in components(g)]
+    values = [True] * len(STATEMENT_NAMES)
+    for part in parts:
+        m = _Memo(part, cap, cap_omega)
+        for i, statement in enumerate(_STATEMENTS.values()):
+            v = _attempt(statement, m)
+            if v is None:
+                values[i] = None
+            elif values[i] is not None:
+                values[i] = values[i] and v
+    evaluated = [(name, v) for name, v in zip(STATEMENT_NAMES, values) if v is not None]
     failing = None
-    if not agree:
-        first_i, first_v = evaluated[0]
-        for j, v in evaluated[1:]:
-            if v != first_v:
-                failing = {
-                    "statements": [STATEMENT_NAMES[first_i], STATEMENT_NAMES[j]],
-                    "values": [first_v, v],
-                }
-                break
-    return EquivalenceReport(graph_id, tuple(values), agree, failing)
+    for name, v in evaluated[1:]:
+        if v != evaluated[0][1]:
+            failing = {"statements": [evaluated[0][0], name], "values": [evaluated[0][1], v]}
+            break
+    return EquivalenceReport(graph_id, tuple(values), failing is None, failing)
 
 
 # ---------------------------------------------------------------------------
-# Chain and implication suites
+# Implication clauses
 # ---------------------------------------------------------------------------
 
 
-def verify_inequality_chain(g: Graph, cap=None, cap_omega=None):
-    """The chained invariants in their proven order; ``invariant_chain``
-    raises internally if the ordering fails, which the suite records."""
-    return invariant_chain(g, cap, cap_omega)
+def _distance3_attained(m: _Memo):
+    if not (m.square_stable and m.connected and not is_complete(m.g)):
+        return None
+    return all(
+        any(m.dist[a][b] == 3 for b in s if b != a) for s in m.omega_sq for a in s
+    )
+
+
+def _pendant_matching_forces_square_omega(m: _Memo) -> bool:
+    if pendant_perfect_matching(m.g) is None:
+        return True
+    if not m.square_stable:
+        return False
+    pend = pendant_vertices(m.g)
+    if not is_stable_set(m.g, pend):
+        # a matching edge with two pendant endpoints (a K2 component)
+        # leaves a per-edge choice, so the family cannot be a singleton
+        return True
+    return set(m.omega_sq) == {pend}
+
+
+def _ke_pendant_characterisation(m: _Memo):
+    g = m.g
+    if not (m.connected and g.n >= 2 and is_koenig_egervary(g, m.cap)):
+        return None
+    # all three sides are computed first: a refusal of any one makes the
+    # clause unevaluated, not decided by the other two
+    pendant_pm = pendant_perfect_matching(g) is not None
+    pendant_vwc = (is_very_well_covered(g, m.cap_omega)
+                   and pendants_contain_maximum_stable_set(g, m.cap))
+    return m.square_stable == pendant_pm == pendant_vwc
+
+
+def _component_reduction(m: _Memo) -> bool:
+    parts = [
+        is_square_stable(induced_subgraph(m.g, comp)[0], m.cap) for comp in components(m.g)
+    ]
+    return m.square_stable == all(parts)
+
+
+# Each conditional between the graph classes, in report order.  A clause reads
+# ``None`` when its hypotheses exclude the graph: disconnection where a
+# statement is proven for connected graphs only, isolated vertices where
+# well-coveredness is undefined by fiat.
+_CLAUSES = {
+    "square_stable_iff_square_omega_contained":
+        lambda m: m.square_stable == (set(m.omega_sq) <= set(m.omega)),
+    "square_omega_pairwise_distance3": lambda m: all(_spread(m.dist, s) for s in m.omega_sq),
+    "square_omega_distance3_attained": _distance3_attained,
+    "omega_equality_iff_complete":
+        lambda m: ((set(m.omega_sq) == set(m.omega)) == is_complete(m.g))
+        if m.connected else None,
+    "square_stable_not_alpha_minus":
+        lambda m: None if m.isolated
+        else not m.square_stable or not alpha_minus_stable(m.g, m.cap, m.cap_omega),
+    "square_stable_alpha_plus_zero":
+        lambda m: None if m.isolated
+        else not m.square_stable
+        or alpha_plus_class(m.g, m.cap, m.cap_omega) is AlphaPlusClass.PLUS_0,
+    "square_stable_well_covered":
+        lambda m: None if m.isolated
+        else not m.square_stable or is_well_covered(m.g, m.cap_omega),
+    "square_stable_iff_simplicial_well_covered":
+        lambda m: None if m.isolated
+        else m.square_stable == (is_simplicial_graph(m.g)
+                                 and is_well_covered(m.g, m.cap_omega)),
+    "chordal_square_stable_iff_well_covered":
+        lambda m: None if m.isolated or not is_chordal(m.g)
+        else m.square_stable == is_well_covered(m.g, m.cap_omega),
+    "pendant_matching_forces_square_omega": _pendant_matching_forces_square_omega,
+    "ke_pendant_characterisation": _ke_pendant_characterisation,
+    "ke_well_covered_iff_very_well_covered":
+        lambda m: (is_well_covered(m.g, m.cap_omega) == is_very_well_covered(m.g, m.cap_omega))
+        if is_koenig_egervary(m.g, m.cap) else None,
+    "square_stable_ke_square":
+        lambda m: not (m.square_stable and is_koenig_egervary(m.g, m.cap))
+        or is_koenig_egervary(m.sq, m.cap),
+    "component_reduction": _component_reduction,
+}
 
 
 def implication_clauses(g: Graph, cap=None, cap_omega=None) -> list[tuple]:
     """Each conditional between the graph classes: (name, holds, witness).
 
-    ``holds`` is ``None`` when the clause's hypotheses exclude the graph
-    (disconnection where a statement is proven for connected graphs only,
-    isolated vertices where well-coveredness is undefined by fiat).
+    ``holds`` is ``None`` when the clause's hypotheses exclude the graph or a
+    cap refuses it.  The witness is ``""`` for every clause so far.
     """
-    clauses: list[tuple] = []
-    sq = square(g)
-    conn = is_connected(g)
-    iso = bool(isolated_vertices(g)) or g.n == 0
-    d = distance_matrix(g)
-
-    def add(name: str, fn) -> None:
-        try:
-            value = fn()
-        except CapExceededError:
-            value = None
-        clauses.append((name, value, ""))
-
-    def omega_sets(h):
-        return enumerate_maximum_stable_sets(h, cap_omega).sets
-
-    def ss():
-        return is_square_stable(g, cap)
-
-    add("square_stable_iff_square_omega_contained",
-        lambda: ss() == (set(omega_sets(sq)) <= set(omega_sets(g))))
-
-    add("square_omega_pairwise_distance3",
-        lambda: all(d[a][b] >= 3 for s in omega_sets(sq) for a in s for b in s if a < b))
-
-    def distance3_attained():
-        if not (ss() and conn and not is_complete(g)):
-            return None
-        return all(
-            any(d[a][b] == 3 for b in s if b != a)
-            for s in omega_sets(sq)
-            for a in s
-        )
-    add("square_omega_distance3_attained", distance3_attained)
-
-    add("omega_equality_iff_complete",
-        lambda: ((set(omega_sets(sq)) == set(omega_sets(g))) == is_complete(g))
-        if conn else None)
-
-    add("square_stable_not_alpha_minus",
-        lambda: None if iso else (not ss()) or not alpha_minus_stable(g, cap, cap_omega))
-
-    add("square_stable_alpha_plus_zero",
-        lambda: None if iso
-        else (not ss()) or alpha_plus_class(g, cap, cap_omega) is AlphaPlusClass.PLUS_0)
-
-    add("square_stable_well_covered",
-        lambda: None if iso else (not ss()) or is_well_covered(g, cap_omega))
-
-    add("square_stable_iff_simplicial_well_covered",
-        lambda: None if iso
-        else ss() == (is_simplicial_graph(g) and is_well_covered(g, cap_omega)))
-
-    add("chordal_square_stable_iff_well_covered",
-        lambda: None if (iso or not is_chordal(g))
-        else ss() == is_well_covered(g, cap_omega))
-
-    def pendant_forces_square_omega():
-        ppm = pendant_perfect_matching(g)
-        if ppm is None:
-            return True
-        if not ss():
-            return False
-        pend = frozenset(v for v in range(g.n) if g.adj[v].bit_count() == 1)
-        pend_stable = all(
-            not g.has_edge(a, b) for a in pend for b in pend if a < b
-        )
-        if not pend_stable:
-            # a matching edge with two pendant endpoints (a K2 component)
-            # leaves a per-edge choice, so the family cannot be a singleton
-            return True
-        return set(omega_sets(sq)) == {pend}
-    add("pendant_matching_forces_square_omega", pendant_forces_square_omega)
-
-    def ke_pendant_characterisation():
-        if not (conn and g.n >= 2 and is_koenig_egervary(g, cap)):
-            return None
-        a = ss()
-        b = pendant_perfect_matching(g) is not None
-        c = (is_very_well_covered(g, cap_omega)
-             and pendants_contain_maximum_stable_set(g, cap))
-        return a == b == c
-    add("ke_pendant_characterisation", ke_pendant_characterisation)
-
-    add("ke_well_covered_iff_very_well_covered",
-        lambda: (is_well_covered(g, cap_omega) == is_very_well_covered(g, cap_omega))
-        if is_koenig_egervary(g, cap) else None)
-
-    add("square_stable_ke_square",
-        lambda: (not (ss() and is_koenig_egervary(g, cap)))
-        or is_koenig_egervary(sq, cap))
-
-    def component_reduction():
-        parts = []
-        for comp in components(g):
-            sub, _ = induced_subgraph(g, comp)
-            parts.append(is_square_stable(sub, cap))
-        return ss() == all(parts)
-    add("component_reduction", component_reduction)
-
-    return clauses
+    m = _Memo(g, cap, cap_omega)
+    return [(name, _attempt(clause, m), "") for name, clause in _CLAUSES.items()]
 
 
 # ---------------------------------------------------------------------------
@@ -423,7 +377,74 @@ def verify_girth6(g: Graph, cap=None, cap_omega=None) -> Optional[GirthReport]:
 # Suite runner
 # ---------------------------------------------------------------------------
 
-SUITE_NAMES = ("equivalences", "chain", "implications", "tree", "girth6", "matroid")
+def _equivalences(gid: str, g: Graph, cap, cap_omega):
+    report = verify_equivalences(g, cap, cap_omega, gid)
+    violations = [] if report.agree else [("equivalence_agreement", report.failing_pair)]
+    return report.as_dict(), violations
+
+
+def _chain(gid: str, g: Graph, cap, cap_omega):
+    try:
+        record = invariant_chain(g, cap, cap_omega)
+    except InternalCheckError as exc:
+        return None, [("inequality_chain", str(exc))]
+    return {"graph_id": gid, "invariants": record.as_dict()}, []
+
+
+def _implications(gid: str, g: Graph, cap, cap_omega):
+    clauses = implication_clauses(g, cap, cap_omega)
+    detail = {"graph_id": gid, "clauses": {name: value for name, value, _ in clauses}}
+    return detail, [(name, witness) for name, value, witness in clauses if value is False]
+
+
+def _tree(gid: str, g: Graph, cap, cap_omega):
+    if not is_tree(g) or g.n < 2:
+        return None
+    report = verify_tree_theorem(g, cap, cap_omega)
+    violations = []
+    if not report.agree:
+        violations.append(("tree_equivalence", list(report.statements)))
+    if not report.recursion_ok:
+        violations.append(("tree_recursion_edge", "no qualifying edge"))
+    detail = {
+        "graph_id": gid,
+        "statements": list(report.statements),
+        "recursion_edge": report.recursion_edge,
+    }
+    return detail, violations
+
+
+def _girth6(gid: str, g: Graph, cap, cap_omega):
+    report = verify_girth6(g, cap, cap_omega)
+    if report is None:
+        return None
+    violations = [] if report.agree else [("girth6_equivalence", list(report.statements))]
+    return {"graph_id": gid, "statements": list(report.statements)}, violations
+
+
+def _matroid(gid: str, g: Graph, cap, cap_omega):
+    try:
+        omega_is_matroid(g, cap_omega)
+    except InternalCheckError as exc:
+        return None, [("matroid_routes", str(exc))]
+    return None, []
+
+
+# Each suite maps (graph_id, graph, cap, cap_omega) to ``None`` when its
+# hypotheses exclude the graph (a skip), or else to the graph's detail record
+# (or ``None``) and its violations as (clause, witness) pairs.  The entries
+# call the checkers through this module's globals, so that rebinding a checker
+# (a test's fake, a tracer's wrapper) reaches every call.
+_SUITES = {
+    "equivalences": _equivalences,
+    "chain": _chain,
+    "implications": _implications,
+    "tree": _tree,
+    "girth6": _girth6,
+    "matroid": _matroid,
+}
+
+SUITE_NAMES = tuple(_SUITES)
 
 
 @dataclass
@@ -474,131 +495,36 @@ def run_suite(
     """Run the selected suites over a corpus of (graph_id, graph) pairs.
 
     Results are deterministic: the corpus is materialised and sorted by
-    (order, graph_id) before checking.  In strict mode a solver-cap refusal
-    propagates; otherwise the graph counts as skipped for that suite.
+    (order, graph_id) before checking, and each graph goes through the
+    selected suites in the order of ``SUITE_NAMES``.  In strict mode a
+    solver-cap refusal propagates; otherwise the graph counts as skipped for
+    that suite.
     """
     chosen = list(suites)
     for name in chosen:
-        if name not in SUITE_NAMES:
+        if name not in _SUITES:
             raise ValueError(f"unknown suite {name!r}; known: {', '.join(SUITE_NAMES)}")
     corpus = sorted(items, key=lambda item: (item[1].n, item[0]))
-    results = {name: SuiteResult(name) for name in chosen}
-
-    def guard(result: SuiteResult, gid: str, fn) -> None:
-        try:
-            fn()
-        except CapExceededError:
-            if strict:
-                raise
-            result.skipped += 1
+    results = {name: SuiteResult(name) for name in SUITE_NAMES if name in chosen}
 
     for gid, g in corpus:
-        if "equivalences" in results:
-            res = results["equivalences"]
-
-            def run_equiv(res=res, gid=gid, g=g):
-                report = verify_equivalences(g, cap, cap_omega, gid)
-                res.graphs_checked += 1
-                if keep_details:
-                    res.details.append(report.as_dict())
-                if not report.agree:
-                    res.violations.append({
-                        "graph_id": gid,
-                        "clause": "equivalence_agreement",
-                        "witness": report.failing_pair,
-                    })
-            guard(res, gid, run_equiv)
-        if "chain" in results:
-            res = results["chain"]
-
-            def run_chain(res=res, gid=gid, g=g):
-                try:
-                    record = verify_inequality_chain(g, cap, cap_omega)
-                    res.graphs_checked += 1
-                    if keep_details:
-                        res.details.append({"graph_id": gid, "invariants": record.as_dict()})
-                except InternalCheckError as exc:
-                    res.graphs_checked += 1
-                    res.violations.append({
-                        "graph_id": gid, "clause": "inequality_chain", "witness": str(exc),
-                    })
-            guard(res, gid, run_chain)
-        if "implications" in results:
-            res = results["implications"]
-
-            def run_impl(res=res, gid=gid, g=g):
-                clauses = implication_clauses(g, cap, cap_omega)
-                res.graphs_checked += 1
-                if keep_details:
-                    res.details.append({
-                        "graph_id": gid,
-                        "clauses": {name: value for name, value, _ in clauses},
-                    })
-                for name, value, witness in clauses:
-                    if value is False:
-                        res.violations.append({
-                            "graph_id": gid, "clause": name, "witness": witness,
-                        })
-            guard(res, gid, run_impl)
-        if "tree" in results:
-            res = results["tree"]
-            if not is_tree(g) or g.n < 2:
+        for name, res in results.items():
+            try:
+                outcome = _SUITES[name](gid, g, cap, cap_omega)
+            except CapExceededError:
+                if strict:
+                    raise
+                outcome = None
+            if outcome is None:
                 res.skipped += 1
-            else:
-                def run_tree(res=res, gid=gid, g=g):
-                    report = verify_tree_theorem(g, cap, cap_omega)
-                    res.graphs_checked += 1
-                    if keep_details:
-                        res.details.append({
-                            "graph_id": gid,
-                            "statements": list(report.statements),
-                            "recursion_edge": report.recursion_edge,
-                        })
-                    if not report.agree:
-                        res.violations.append({
-                            "graph_id": gid,
-                            "clause": "tree_equivalence",
-                            "witness": list(report.statements),
-                        })
-                    if not report.recursion_ok:
-                        res.violations.append({
-                            "graph_id": gid,
-                            "clause": "tree_recursion_edge",
-                            "witness": "no qualifying edge",
-                        })
-                guard(res, gid, run_tree)
-        if "girth6" in results:
-            res = results["girth6"]
-
-            def run_girth(res=res, gid=gid, g=g):
-                report = verify_girth6(g, cap, cap_omega)
-                if report is None:
-                    res.skipped += 1
-                    return
-                res.graphs_checked += 1
-                if keep_details:
-                    res.details.append({
-                        "graph_id": gid, "statements": list(report.statements),
-                    })
-                if not report.agree:
-                    res.violations.append({
-                        "graph_id": gid,
-                        "clause": "girth6_equivalence",
-                        "witness": list(report.statements),
-                    })
-            guard(res, gid, run_girth)
-        if "matroid" in results:
-            res = results["matroid"]
-
-            def run_matroid(res=res, gid=gid, g=g):
-                try:
-                    omega_is_matroid(g, cap_omega)
-                    res.graphs_checked += 1
-                except InternalCheckError as exc:
-                    res.graphs_checked += 1
-                    res.violations.append({
-                        "graph_id": gid, "clause": "matroid_routes", "witness": str(exc),
-                    })
-            guard(res, gid, run_matroid)
+                continue
+            detail, violations = outcome
+            res.graphs_checked += 1
+            if keep_details and detail is not None:
+                res.details.append(detail)
+            res.violations.extend(
+                {"graph_id": gid, "clause": clause, "witness": witness}
+                for clause, witness in violations
+            )
 
     return RunReport([results[name] for name in chosen], len(corpus))

@@ -1,0 +1,16 @@
+import types
+
+import squarestable
+
+
+def test_all_lists_public_names_and_no_submodules():
+    exported = set(squarestable.__all__)
+    for name in exported:
+        assert not isinstance(getattr(squarestable, name), types.ModuleType), name
+    assert exported.isdisjoint({
+        "errors", "generate", "graphs", "matchings", "solvers", "verify",
+        "berge_check", "verify_inequality_chain",
+    })
+    # ``classify`` names both a submodule and its main function; the function wins
+    assert "classify" in exported and callable(squarestable.classify)
+    assert {"Graph", "run_suite", "invariant_chain", "SUITE_NAMES"} <= exported

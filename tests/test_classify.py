@@ -87,6 +87,8 @@ def test_very_well_covered_examples():
     assert not is_very_well_covered(named_fixture("fig_ss_not_vwc"))
     assert not is_very_well_covered(cycle_graph(5))
     assert is_very_well_covered(path_graph(4))
+    # the solver cap passed in covers the alpha solve, not only the enumeration
+    assert not is_very_well_covered(complete_graph(65), cap=100)
 
 
 def test_koenig_egervary_examples():

@@ -1,7 +1,7 @@
 import json
 
 from squarestable import cli
-from squarestable.generate import cycle_graph, named_fixture
+from squarestable.generate import canonical_graph6, cycle_graph, named_fixture
 from squarestable.graphs import format_edge_list, parse_edge_list, parse_graph6, to_graph6
 
 
@@ -52,6 +52,18 @@ def test_analyze_bad_graph6_is_an_error(capsys, tmp_path):
     path.write_text("C\x01\n")
     code, out, err = run_cli(capsys, "analyze", str(path))
     assert code == 2
+
+
+def test_graph6_input_names_the_bad_line(capsys, tmp_path):
+    path = tmp_path / "bad_second.g6"
+    path.write_text("Dhc\nD??x\n")
+    message = "line 2: graph6 payload has 3 sextets, expected 2 for n=5"
+    code, out, err = run_cli(capsys, "analyze", str(path))
+    assert code == 2 and message in err
+    assert json.loads(out)["graph"]["graph6"] == "Dhc"  # line 1 is still reported
+    code, out, err = run_cli(capsys, "canonical", str(path))
+    assert code == 2 and message in err
+    assert out.splitlines() == [canonical_graph6(parse_graph6("Dhc"))]
 
 
 def test_analyze_cap_refusal_names_the_cap(capsys, tmp_path):
@@ -177,7 +189,10 @@ def test_verify_corona_family(capsys):
         "--suite", "equivalences")
     assert code == 0
     detail = json.loads(out)["suites"][0]["details"][0]
+    assert detail["graph_id"] == "corona(cycle 5)"
     assert all(v is True for v in detail["statements"].values())
+    code, out, err = run_cli(capsys, "verify", "--family", "corona")
+    assert code == 2 and "--family corona requires --corona-base FAMILY PARAMS..." in err
 
 
 def test_verify_text_table(capsys):
@@ -233,6 +248,8 @@ def test_generate_bad_spec(capsys):
     assert code == 2
     code, out, err = run_cli(capsys, "generate", "cycle", "2")
     assert code == 2
+    code, out, err = run_cli(capsys, "generate", "corona")
+    assert code == 2 and "error: corona requires --base FAMILY PARAMS..." in err
 
 
 def test_canonical_command(capsys, tmp_path):
@@ -255,3 +272,26 @@ def test_stdin_pipeline(capsys, monkeypatch):
     code, out, err = run_cli(capsys, "analyze", "-")
     assert code == 0
     assert json.loads(out)["invariants"]["alpha"] == 2
+
+
+# ---------------------------------------------------------------------------
+# pinned reports
+# ---------------------------------------------------------------------------
+
+
+def test_verify_reports_are_pinned(capsys):
+    import hashlib
+
+    # Digests of the reports as first released (CPython 3.11); neither corpus
+    # depends on canonical labelling, so only a change in what the suites
+    # check or how they report it can move them.
+    pinned = {
+        ("verify", "--fixtures"):
+            "a53e5848b4ad066fa69ec2bd0817aee7039573ec8030edbcb8633e4971265914",
+        ("verify", "--sample", "200", "--max-n", "10", "--seed", "3", "--details"):
+            "b5a84f060b9ab8d270e07e4919018b70abc86be6f947b10d5c65e517894d42c6",
+    }
+    for argv, digest in pinned.items():
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 0, err
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, argv

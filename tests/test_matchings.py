@@ -14,7 +14,6 @@ from squarestable.generate import (
 from squarestable.graphs import Graph, is_bipartite
 from squarestable.matchings import (
     PerfectMatchingStatus,
-    berge_check,
     count_perfect_matchings,
     enumerate_perfect_matchings,
     has_induced_perfect_matching,
@@ -26,7 +25,6 @@ from squarestable.matchings import (
     pendant_perfect_matching,
     unique_perfect_matching,
 )
-from squarestable.solvers import stability_number
 from oracles import oracle_alpha, oracle_count_perfect_matchings, oracle_mu, random_graph
 from strategies import graphs
 
@@ -211,22 +209,3 @@ def test_match_into_cap_saturates():
     assert count == 2
     count, _ = match_into(g, {0, 1}, {2, 3, 4}, cap=5)
     assert count == 5
-
-
-def test_berge_check_examples():
-    assert berge_check(cycle_graph(4), {0, 2})
-    assert not berge_check(path_graph(4), {1})
-    assert berge_check(complete_graph(5), {3})
-    with pytest.raises(ValueError):
-        berge_check(path_graph(4), {0, 1})
-
-
-@given(graphs(max_n=7))
-@settings(max_examples=60)
-def test_berge_characterises_maximum_stable_sets(g):
-    from squarestable.graphs import stable_subsets, set_of
-
-    alpha = stability_number(g)
-    for smask in stable_subsets(g, g.full_mask()):
-        s = set_of(smask)
-        assert berge_check(g, s) == (len(s) == alpha)

@@ -14,6 +14,7 @@ from squarestable.generate import (
 )
 from squarestable.graphs import Graph, square, to_graph6
 from squarestable.classify import is_koenig_egervary
+from squarestable.solvers import invariant_chain
 from squarestable.verify import (
     STATEMENT_NAMES,
     SUITE_NAMES,
@@ -22,7 +23,6 @@ from squarestable.verify import (
     run_suite,
     verify_equivalences,
     verify_girth6,
-    verify_inequality_chain,
     verify_tree_theorem,
 )
 
@@ -83,9 +83,9 @@ def test_equivalences_mark_unevaluated_on_cap():
 
 
 def test_chain_values():
-    assert verify_inequality_chain(cycle_graph(12)).chain() == (4, 4, 4, 4, 6, 6)
-    assert verify_inequality_chain(cycle_graph(6)).chain() == (2, 2, 2, 2, 3, 3)
-    assert verify_inequality_chain(complete_graph(4)).chain() == (1,) * 6
+    assert invariant_chain(cycle_graph(12)).chain() == (4, 4, 4, 4, 6, 6)
+    assert invariant_chain(cycle_graph(6)).chain() == (2, 2, 2, 2, 3, 3)
+    assert invariant_chain(complete_graph(4)).chain() == (1,) * 6
 
 
 # ---------------------------------------------------------------------------
@@ -235,3 +235,61 @@ def test_run_suite_random_connected_sample_is_clean():
     items = [(to_graph6(g), g) for g in sample_corpus(40, 10, seed=97)]
     report = run_suite(items, SUITE_NAMES)
     assert report.violations_total == 0
+
+
+def test_run_suite_records_violations(monkeypatch, capsys):
+    from squarestable import cli, verify
+    from squarestable.errors import InternalCheckError
+
+    def broken(*args, **kwargs):
+        raise InternalCheckError("routes disagree")
+
+    def equivalences(g, cap=None, cap_omega=None, graph_id=""):
+        values = (True,) * 12 + (False,)
+        pair = {"statements": [STATEMENT_NAMES[0], STATEMENT_NAMES[12]],
+                "values": [True, False]}
+        return verify.EquivalenceReport(graph_id, values, False, pair)
+
+    monkeypatch.setattr(verify, "invariant_chain", broken)
+    monkeypatch.setattr(verify, "omega_is_matroid", broken)
+    monkeypatch.setattr(verify, "verify_equivalences", equivalences)
+    monkeypatch.setattr(verify, "verify_tree_theorem", lambda *a, **k: verify.TreeReport(
+        (True, True, True, False), False, None, False))
+    monkeypatch.setattr(verify, "verify_girth6", lambda g, *a, **k: None if g.n == 3
+                        else verify.GirthReport((True, False), False))
+    monkeypatch.setattr(verify, "implication_clauses", lambda *a, **k: [
+        ("holds", True, ""), ("fails", False, ""), ("excluded", None, "")])
+
+    items = [("c5", cycle_graph(5)), ("p4", path_graph(4)), ("k3", complete_graph(3))]
+    report = run_suite(items, SUITE_NAMES).as_dict()
+
+    def records(gid_clause_witness):
+        return [{"graph_id": g, "clause": c, "witness": w} for g, c, w in gid_clause_witness]
+
+    order = ("k3", "p4", "c5")
+    pair = {"statements": [STATEMENT_NAMES[0], STATEMENT_NAMES[12]], "values": [True, False]}
+    assert report == {
+        "graphs_total": 3,
+        "violations_total": 16,
+        "suites": [
+            {"suite_name": "equivalences", "graphs_checked": 3, "skipped": 0,
+             "violations": records((gid, "equivalence_agreement", pair) for gid in order)},
+            {"suite_name": "chain", "graphs_checked": 3, "skipped": 0,
+             "violations": records((gid, "inequality_chain", "routes disagree")
+                                   for gid in order)},
+            {"suite_name": "implications", "graphs_checked": 3, "skipped": 0,
+             "violations": records((gid, "fails", "") for gid in order)},
+            {"suite_name": "tree", "graphs_checked": 1, "skipped": 2,
+             "violations": records([("p4", "tree_equivalence", [True, True, True, False]),
+                                    ("p4", "tree_recursion_edge", "no qualifying edge")])},
+            {"suite_name": "girth6", "graphs_checked": 2, "skipped": 1,
+             "violations": records((gid, "girth6_equivalence", [True, False])
+                                   for gid in order[1:])},
+            {"suite_name": "matroid", "graphs_checked": 3, "skipped": 0,
+             "violations": records((gid, "matroid_routes", "routes disagree")
+                                   for gid in order)},
+        ],
+    }
+
+    assert cli.main(["verify", "--family", "path", "4"]) == 1
+    assert json.loads(capsys.readouterr().out)["violations_total"] == 7
