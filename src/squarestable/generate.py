@@ -200,48 +200,84 @@ def named_fixture(name: str) -> Graph:
 # ---------------------------------------------------------------------------
 
 
-def canonical_graph(g: Graph) -> Graph:
-    """The canonically labelled copy of ``g``: the vertex relabelling whose
-    column-by-column upper-triangle bit string is lexicographically minimal.
+def _least_columns(adj: list[int], best: list[int], first_only: bool) -> bool:
+    """Lower ``best`` in place to the least column code of any relabelling.
 
-    Backtracking over partial relabellings, pruning any branch whose next
-    column already exceeds the best known form.
+    Column k of a relabelling (v0, v1, ...) is the bit string of the
+    adjacencies of v_k to v0..v_(k-1), v0 first; codes compare column by
+    column.  Backtracking extends a prefix of the relabelling by each unused
+    vertex whose column is at most ``best[k]``.  Of two unused twins (u and w
+    with N(u) - {w} == N(w) - {u}) only the smaller is tried: swapping them is
+    an automorphism fixing the prefix, so it leads to the same codes.
+
+    With ``first_only`` the search stops at the first column below ``best``
+    and returns True: ``best`` was not the least code.  Otherwise it returns
+    False, with ``best`` lowered to the least code.
     """
-    n = g.n
-    if n <= 1:
-        return g
-    adj = g.adj
-    infinity = 1 << (n + 1)
-    best_cols = [infinity] * n
-    best_perm = list(range(n))
+    n = len(adj)
+    infinity = 1 << n
+    twins = [0] * n  # twins[w]: the twins of w smaller than w
+    for w in range(n):
+        for u in range(w):
+            if adj[u] & ~(1 << w) == adj[w] & ~(1 << u):
+                twins[w] |= 1 << u
     perm: list[int] = []
 
-    def rec(used: int) -> None:
+    def rec(used: int) -> bool:
         k = len(perm)
-        if k == n:
-            best_perm[:] = perm
-            return
         for w in range(n):
-            if used >> w & 1:
+            if used >> w & 1 or twins[w] & ~used:
                 continue
             aw = adj[w]
             col = 0
             for p in perm:
                 col = (col << 1) | (aw >> p & 1)
-            if col > best_cols[k]:
+            if col > best[k]:
                 continue
-            if col < best_cols[k]:
-                best_cols[k] = col
-                for j in range(k + 1, n):
-                    best_cols[j] = infinity
-            perm.append(w)
-            rec(used | (1 << w))
-            perm.pop()
+            if col < best[k]:
+                if first_only:
+                    return True
+                best[k] = col
+                best[k + 1:] = [infinity] * (n - k - 1)
+            if k + 1 < n:
+                perm.append(w)
+                stop = rec(used | 1 << w)
+                perm.pop()
+                if stop:
+                    return True
+        return False
 
-    rec(0)
+    return rec(0)
+
+
+def _columns(adj: list[int]) -> list[int]:
+    """The column code of the identity labelling."""
+    cols = []
+    for k, ak in enumerate(adj):
+        col = 0
+        for i in range(k):
+            col = (col << 1) | (ak >> i & 1)
+        cols.append(col)
+    return cols
+
+
+def canonical_graph(g: Graph) -> Graph:
+    """The canonically labelled copy of ``g``: the vertex relabelling whose
+    column-by-column upper-triangle bit string is lexicographically minimal.
+
+    Found by the backtracking search of ``_least_columns``, which prunes by
+    columns and by twins; graphs with other large symmetries can still take
+    exponential time.  Column k depends only on the first k + 1 vertices, so
+    deleting the last vertex of a canonical graph leaves a canonical graph.
+    """
+    n = g.n
+    if n <= 1:
+        return g
+    best = [1 << n] * n
+    _least_columns(list(g.adj), best, first_only=False)
     edges = []
     for k in range(1, n):
-        col = best_cols[k]
+        col = best[k]
         for i in range(k):
             if col >> (k - 1 - i) & 1:
                 edges.append((i, k))
@@ -255,10 +291,12 @@ def canonical_graph6(g: Graph) -> str:
 def enumerate_corpus(max_n: int, connected_only: bool = True) -> Iterator[Graph]:
     """Every graph with up to ``max_n`` vertices, one per isomorphism class.
 
-    Graphs come out canonically labelled, ordered by vertex count and then by
-    canonical form.  Built by vertex augmentation: each level-k graph is
-    extended by one new vertex with every possible neighbourhood, and the
-    results are deduplicated by canonical form.
+    Graphs come out canonically labelled (as by ``canonical_graph``),
+    ordered by vertex count and then by graph6 string.  Built by orderly
+    generation (Read; Faradzev): a canonical graph minus its last vertex is
+    canonical, so each canonical graph on k + 1 vertices is exactly one of
+    the extensions of a canonical graph on k vertices by a new last vertex,
+    namely one whose own labelling passes the canonicity test.
     """
     if max_n < 1:
         raise ValueError("max_n must be at least 1")
@@ -267,27 +305,22 @@ def enumerate_corpus(max_n: int, connected_only: bool = True) -> Iterator[Graph]
             f"exhaustive enumeration capped at {EXHAUSTIVE_MAX_N} vertices; "
             "use sample_corpus beyond that"
         )
-    level = {to_graph6(Graph(1, (0,))): Graph(1, (0,))}
-    for key in sorted(level):
-        g = level[key]
-        if not connected_only or is_connected(g):
-            yield g
-    for k in range(1, max_n):
-        nxt: dict[str, Graph] = {}
-        for g in level.values():
-            base_edges = g.edges()
-            for mask in range(1 << k):
-                edges = list(base_edges)
-                mm = mask
-                while mm:
-                    b = mm & -mm
-                    edges.append((b.bit_length() - 1, k))
-                    mm ^= b
-                h = canonical_graph(Graph.from_edges(k + 1, edges))
-                nxt.setdefault(to_graph6(h), h)
-        level = nxt
-        for key in sorted(level):
-            g = level[key]
+    level = [Graph(1, (0,))]
+    for k in range(1, max_n + 1):
+        if k > 1:
+            nxt = []
+            for g in level:
+                cols = _columns(g.adj)
+                # a new last column below twice the one before it is not
+                # least: swapping the last two vertices lowers it
+                for col in range(cols[-1] << 1, 1 << (k - 1)):
+                    new = sum(1 << i for i in range(k - 1) if col >> (k - 2 - i) & 1)
+                    adj = [a | (new >> i & 1) << (k - 1) for i, a in enumerate(g.adj)]
+                    adj.append(new)
+                    if not _least_columns(adj, cols + [col], first_only=True):
+                        nxt.append(Graph(k, tuple(adj)))
+            level = sorted(nxt, key=to_graph6)
+        for g in level:
             if not connected_only or is_connected(g):
                 yield g
 

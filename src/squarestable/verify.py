@@ -92,8 +92,24 @@ class _Memo:
         return enumerate_maximum_stable_sets(self.sq, self.cap_omega).sets
 
     @cached_property
+    def alpha(self) -> int:
+        return stability_number(self.g, self.cap)
+
+    @cached_property
+    def alpha_sq(self) -> int:
+        return stability_number(self.sq, self.cap)
+
+    @cached_property
+    def theta(self) -> int:
+        return clique_cover_number(self.g, self.cap)
+
+    @cached_property
+    def theta_sq(self) -> int:
+        return clique_cover_number(self.sq, self.cap)
+
+    @property
     def square_stable(self) -> bool:
-        return stability_number(self.g, self.cap) == stability_number(self.sq, self.cap)
+        return self.alpha == self.alpha_sq
 
 
 def _attempt(predicate, m: _Memo):
@@ -121,15 +137,14 @@ def _differences(m: _Memo):
 _STATEMENTS = {
     "simplex_partition": lambda m: simplex_partition_check(m.g),
     "alpha_preserved_by_square": lambda m: m.square_stable,
-    "theta_preserved_by_square":
-        lambda m: clique_cover_number(m.g, m.cap) == clique_cover_number(m.sq, m.cap),
+    "theta_preserved_by_square": lambda m: m.theta == m.theta_sq,
     "six_invariants_equal": lambda m: len({
-        stability_number(m.sq, m.cap),
-        clique_cover_number(m.sq, m.cap),
+        m.alpha_sq,
+        m.theta_sq,
         domination_number(m.g, m.cap),
         independent_domination_number(m.g, m.cap_omega),
-        stability_number(m.g, m.cap),
-        clique_cover_number(m.g, m.cap),
+        m.alpha,
+        m.theta,
     }) == 1,
     "square_omega_contained": lambda m: set(m.omega_sq) <= set(m.omega),
     "distance3_maximum_stable_set": lambda m: any(_spread(m.dist, s) for s in m.omega),

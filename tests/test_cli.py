@@ -282,14 +282,18 @@ def test_stdin_pipeline(capsys, monkeypatch):
 def test_verify_reports_are_pinned(capsys):
     import hashlib
 
-    # Digests of the reports as first released (CPython 3.11); neither corpus
-    # depends on canonical labelling, so only a change in what the suites
-    # check or how they report it can move them.
+    # Digests of the reports as first released (CPython 3.11).  The first two
+    # corpora do not depend on canonical labelling, so only a change in what
+    # the suites check or how they report it can move them; the exhaustive
+    # one also pins the enumerated graphs, their labelling and their IDs,
+    # disconnected ones included.
     pinned = {
         ("verify", "--fixtures"):
             "a53e5848b4ad066fa69ec2bd0817aee7039573ec8030edbcb8633e4971265914",
         ("verify", "--sample", "200", "--max-n", "10", "--seed", "3", "--details"):
             "b5a84f060b9ab8d270e07e4919018b70abc86be6f947b10d5c65e517894d42c6",
+        ("verify", "--exhaustive", "6", "--include-disconnected", "--details"):
+            "8236b66b5d8c186b8653138e16d0388cc78a3851432c73fe9faadaf2bbd78c83",
     }
     for argv, digest in pinned.items():
         code, out, err = run_cli(capsys, *argv)

@@ -23,7 +23,7 @@ from squarestable.generate import (
     sample_corpus,
     star_graph,
 )
-from squarestable.graphs import is_connected, is_tree, to_graph6
+from squarestable.graphs import Graph, is_connected, is_tree, to_graph6
 from squarestable.matchings import pendant_perfect_matching
 from oracles import all_isomorphism_classes, permuted
 
@@ -141,13 +141,39 @@ def test_canonical_graph_is_the_minimum_over_relabellings():
         return tuple(cols)
 
     rng = random.Random(161803)
-    for _ in range(120):
-        g = random_graph(rng, rng.randint(1, 6), rng.random())
+    graphs = [random_graph(rng, rng.randint(1, 6), rng.random()) for _ in range(120)]
+    # twin-rich graphs, where the search skips all but the least of each
+    # unused set of twins
+    graphs += [
+        Graph(7, (0,) * 7),
+        complete_graph(7),
+        star_graph(6),
+        star_graph(3),
+        complete_bipartite_graph(3, 4),
+        complete_bipartite_graph(2, 2),
+        Graph.from_edges(6, [(0, 1), (2, 3), (4, 5)]),
+        Graph.from_edges(7, [(0, 1), (0, 2), (0, 3), (1, 4), (1, 5), (1, 6)]),
+        Graph.from_edges(5, [(3, 4), (0, 3), (1, 4), (2, 4)]),
+    ]
+    for g in graphs:
         want = min(
             (permuted(g, perm) for perm in permutations(range(g.n))),
             key=column_key,
         )
         assert canonical_graph(g) == want
+
+
+def test_canonical_graph_of_large_twin_classes_is_fast():
+    # n! relabellings each, but all vertices (or all leaves, or each side)
+    # are twins, so the search visits a handful of prefixes per position
+    assert canonical_graph(Graph(16, (0,) * 16)) == Graph(16, (0,) * 16)
+    assert canonical_graph(complete_graph(16)) == complete_graph(16)
+    # the sparse columns come first, so the centre goes last
+    assert canonical_graph(star_graph(15)) == Graph.from_edges(
+        16, [(leaf, 15) for leaf in range(15)])
+    sides_interleaved = permuted(complete_bipartite_graph(6, 6),
+                                 (0, 2, 4, 6, 8, 10, 1, 3, 5, 7, 9, 11))
+    assert canonical_graph(sides_interleaved) == complete_bipartite_graph(6, 6)
 
 
 def test_corpus_counts_match_known_values():
@@ -162,6 +188,37 @@ def test_corpus_matches_naive_permutation_scan():
     # independent dedup: minimise over all 4! relabellings of all 64 graphs
     corpus4 = [g for g in enumerate_corpus(4, connected_only=False) if g.n == 4]
     assert len(corpus4) == len(all_isomorphism_classes(4)) == 11
+
+
+def test_corpus_matches_extension_and_dedup():
+    # the generation it replaced: canonicalise every one-vertex extension of
+    # every graph of the level below, and deduplicate by graph6
+    level = {to_graph6(Graph(1, (0,))): Graph(1, (0,))}
+    want = sorted(level)
+    for k in range(1, 6):
+        nxt = {}
+        for g in level.values():
+            for mask in range(1 << k):
+                edges = g.edges() + [(i, k) for i in range(k) if mask >> i & 1]
+                h = canonical_graph(Graph.from_edges(k + 1, edges))
+                nxt.setdefault(to_graph6(h), h)
+        level = nxt
+        want += sorted(level)
+    assert [to_graph6(g) for g in enumerate_corpus(6, connected_only=False)] == want
+
+
+def test_corpus_matches_networkx_atlas():
+    nx = pytest.importorskip("networkx")
+    atlas = Counter()
+    keys = set()
+    for h in nx.graph_atlas_g()[1:]:  # the atlas starts with the null graph
+        index = {v: i for i, v in enumerate(h.nodes)}
+        g = Graph.from_edges(len(index), [(index[u], index[v]) for u, v in h.edges])
+        atlas[g.n] += 1
+        keys.add(canonical_graph6(g))
+    assert [atlas[n] for n in range(1, 8)] == ALL_COUNTS
+    assert len(keys) == sum(ALL_COUNTS)
+    assert keys == {to_graph6(g) for g in enumerate_corpus(7, connected_only=False)}
 
 
 def test_corpus_has_no_isomorphic_duplicates():
