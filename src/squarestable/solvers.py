@@ -3,7 +3,11 @@ invariants, plus exhaustive enumeration of stable-set families.
 
 Everything here is exact: branch-and-bound for the optimisation numbers,
 full enumeration (pivoted Bron-Kerbosch, levelled branching) for the set
-families.  Two caps guard against accidental blow-ups: a hard solver cap
+families.  The clique cover is a DSATUR colouring of the complement, stopped
+as soon as it meets the stability number; domination branches on the
+uncovered vertex with the fewest dominators and is bounded by the fewest
+largest gains that can cover the rest.  Two caps guard against accidental
+blow-ups: a hard solver cap
 (default 64) and a family-enumeration cap (default 24, since the number of
 maximum stable sets can be exponential even when the number itself is easy).
 """
@@ -233,14 +237,21 @@ def independent_domination_number(g: Graph, cap=None) -> int:
 
 
 def domination_number(g: Graph, cap=None) -> int:
-    """Exact minimum size of a dominating set (branch over the closed
-    neighbourhood of the first uncovered vertex)."""
+    """Exact minimum size of a dominating set.
+
+    Branch-and-bound: branch on the uncovered vertex with the fewest
+    dominators (the smallest closed neighbourhood), trying its dominators in
+    decreasing order of their gain on the uncovered set.  A node is pruned
+    when even the largest gains need too many further vertices to cover what
+    is left.
+    """
     _check_cap(g.n, cap, DEFAULT_CAP_N, SOLVER_CAP)
     n = g.n
     if n == 0:
         return 0
     closed = tuple(m | (1 << v) for v, m in enumerate(g.adj))
     full = g.full_mask()
+    branch_order = sorted(range(n), key=lambda v: (closed[v].bit_count(), v))
 
     # greedy cover for the initial upper bound
     best = 0
@@ -260,22 +271,33 @@ def domination_number(g: Graph, cap=None) -> int:
             if size < best:
                 best = size
             return
-        max_cover = max((closed[v] & uncovered).bit_count() for v in range(n))
-        if size + -(-uncovered.bit_count() // max_cover) >= best:
+        # the fewest vertices whose largest gains add up to the uncovered count
+        left = uncovered.bit_count()
+        need = size
+        for c in sorted(((closed[v] & uncovered).bit_count() for v in range(n)), reverse=True):
+            need += 1
+            left -= c
+            if left <= 0 or need >= best:
+                break
+        if need >= best:
             return
-        v = (uncovered & -uncovered).bit_length() - 1
-        for u in bit_indices(closed[v]):
+        v = next(v for v in branch_order if uncovered >> v & 1)
+        for u in sorted(bit_indices(closed[v]), key=lambda u: -(closed[u] & uncovered).bit_count()):
             rec(uncovered & ~closed[u], size + 1)
 
     rec(full, 0)
     return best
 
 
-def _exact_coloring(adj: tuple[int, ...], n: int) -> list[int]:
-    """Minimum proper colouring as a list of colour-class masks."""
+def _exact_coloring(adj: tuple[int, ...], n: int, clique_number) -> list[int]:
+    """Minimum proper colouring as a list of colour-class masks.
+
+    ``clique_number()`` must return the graph's clique number; it is called
+    only when the greedy bounds do not already meet.
+    """
     if n == 0:
         return []
-    # greedy clique seeds the vertex order and the lower bound
+    # greedy clique seeds the greedy colouring's order and the lower bound
     order_by_degree = sorted(range(n), key=lambda v: (-adj[v].bit_count(), v))
     clique: list[int] = []
     cmask = 0
@@ -283,13 +305,11 @@ def _exact_coloring(adj: tuple[int, ...], n: int) -> list[int]:
         if cmask & ~adj[v] == 0:
             clique.append(v)
             cmask |= 1 << v
-    rest = [v for v in order_by_degree if not cmask >> v & 1]
-    order = clique + rest
     lower = len(clique)
 
     # greedy colouring for the initial upper bound
     best: list[int] = []
-    for v in order:
+    for v in clique + [v for v in order_by_degree if not cmask >> v & 1]:
         for i, cl in enumerate(best):
             if cl & adj[v] == 0:
                 best[i] = cl | (1 << v)
@@ -299,45 +319,62 @@ def _exact_coloring(adj: tuple[int, ...], n: int) -> list[int]:
     best_k = len(best)
     if best_k == lower:
         return best
+    lower = clique_number()
+    if best_k == lower:
+        return best
 
     classes: list[int] = []
+    reach: list[int] = []  # reach[i]: the vertices adjacent to classes[i]
 
-    def rec(idx: int) -> None:
+    def raised(levels: list[int], inc: int) -> list[int]:
+        return [levels[0] & ~inc] + [hi & ~inc | lo & inc for lo, hi in zip(levels, levels[1:])]
+
+    def rec(uncoloured: int, levels: list[int]) -> None:
+        # DSATUR: colour next the vertex whose neighbours already use the most
+        # distinct colours, ties broken by its degree among the uncoloured;
+        # levels[s] holds the vertices with neighbours in exactly s classes
         nonlocal best, best_k
         if len(classes) >= best_k:
             return
-        if idx == n:
+        if not uncoloured:
             best = classes.copy()
             best_k = len(classes)
             return
-        v = order[idx]
+        top = next(m & uncoloured for m in reversed(levels) if m & uncoloured)
+        v = max(bit_indices(top), key=lambda w: ((adj[w] & uncoloured).bit_count(), -w))
         bit = 1 << v
+        rest = uncoloured & ~bit
+        av = adj[v]
         for i, cl in enumerate(classes):
-            if cl & adj[v] == 0:
-                classes[i] = cl | bit
-                rec(idx + 1)
-                classes[i] = cl
+            if cl & av == 0:
+                r = reach[i]
+                classes[i], reach[i] = cl | bit, r | av
+                rec(rest, raised(levels, av & rest & ~r))
+                classes[i], reach[i] = cl, r
                 if best_k == lower:
                     return
         if len(classes) + 1 < best_k:
             classes.append(bit)
-            rec(idx + 1)
+            reach.append(av)
+            rec(rest, raised(levels + [0], av & rest))
             classes.pop()
+            reach.pop()
 
-    rec(0)
+    rec((1 << n) - 1, [(1 << n) - 1])
     return best
 
 
 def clique_cover(g: Graph, cap=None) -> list[frozenset[int]]:
     """A minimum partition of the vertices into cliques.
 
-    Computed as an exact colouring of the complement, the strongest standard
-    exact method at this scale.
+    Computed as an exact colouring of the complement: DSATUR branch-and-bound
+    (Brélaz 1979), bounded below by the stability number of the graph, which
+    is the clique number of the complement.
     """
     _check_cap(g.n, cap, DEFAULT_CAP_N, SOLVER_CAP)
     full = g.full_mask()
     co_adj = tuple(full & ~m & ~(1 << v) for v, m in enumerate(g.adj))
-    classes = _exact_coloring(co_adj, g.n)
+    classes = _exact_coloring(co_adj, g.n, lambda: _alpha_mask(g.adj, full))
     return sorted((set_of(c) for c in classes), key=sorted)
 
 

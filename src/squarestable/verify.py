@@ -17,7 +17,7 @@ given corpus and configuration.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Iterable, Optional
 
 from .classify import (
@@ -112,6 +112,13 @@ class _Memo:
         return self.alpha == self.alpha_sq
 
 
+@lru_cache(maxsize=1)
+def _shared_memo(g: Graph, cap, cap_omega) -> _Memo:
+    """The memo of the graph last asked for, so that the equivalences and the
+    implications suites, run one after the other, share one."""
+    return _Memo(g, cap, cap_omega)
+
+
 def _attempt(predicate, m: _Memo):
     """The predicate's value, or ``None`` when a cap refuses it."""
     try:
@@ -193,7 +200,7 @@ def verify_equivalences(g: Graph, cap=None, cap_omega=None, graph_id: str = "") 
     parts = [g] if is_connected(g) else [induced_subgraph(g, c)[0] for c in components(g)]
     values = [True] * len(STATEMENT_NAMES)
     for part in parts:
-        m = _Memo(part, cap, cap_omega)
+        m = _shared_memo(part, cap, cap_omega)
         for i, statement in enumerate(_STATEMENTS.values()):
             v = _attempt(statement, m)
             if v is None:
@@ -301,7 +308,7 @@ def implication_clauses(g: Graph, cap=None, cap_omega=None) -> list[tuple]:
     ``holds`` is ``None`` when the clause's hypotheses exclude the graph or a
     cap refuses it.  The witness is ``""`` for every clause so far.
     """
-    m = _Memo(g, cap, cap_omega)
+    m = _shared_memo(g, cap, cap_omega)
     return [(name, _attempt(clause, m), "") for name, clause in _CLAUSES.items()]
 
 

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 from squarestable import cli
 from squarestable.generate import canonical_graph6, cycle_graph, named_fixture
@@ -216,6 +220,17 @@ def test_generate_cycle(capsys):
     code, out, err = run_cli(capsys, "generate", "cycle", "12")
     assert code == 0
     assert parse_graph6(out.strip()) == cycle_graph(12)
+
+
+def test_python_dash_m_runs_the_cli():
+    src = Path(cli.__file__).resolve().parents[1]
+    proc = subprocess.run(
+        [sys.executable, "-m", "squarestable", "generate", "cycle", "5"],
+        capture_output=True, text=True, timeout=60,
+        env=dict(os.environ, PYTHONPATH=str(src)),
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == to_graph6(cycle_graph(5)) + "\n"
 
 
 def test_generate_named_and_corona(capsys):

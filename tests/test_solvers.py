@@ -4,8 +4,14 @@ import pytest
 from hypothesis import given, settings
 
 from squarestable.errors import CapExceededError
-from squarestable.generate import complete_graph, cycle_graph, path_graph, star_graph
-from squarestable.graphs import Graph, is_stable_set, square
+from squarestable.generate import (
+    complete_graph,
+    cycle_graph,
+    path_graph,
+    random_connected_graph,
+    star_graph,
+)
+from squarestable.graphs import Graph, bit_indices, is_clique, is_stable_set, square
 from squarestable.solvers import (
     clique_cover,
     clique_cover_number,
@@ -140,8 +146,6 @@ def test_clique_cover_examples():
 @given(graphs(max_n=7))
 @settings(max_examples=60)
 def test_clique_cover_witness_partitions_into_cliques(g):
-    from squarestable.graphs import is_clique
-
     cover = clique_cover(g)
     seen = set()
     for cl in cover:
@@ -166,6 +170,145 @@ def test_solvers_match_oracles_seeded_sample():
         assert stability_number(g) == oracle_alpha(g)
         assert domination_number(g) == oracle_gamma(g)
         assert clique_cover_number(g) == oracle_theta(g)
+
+
+def _complement(g: Graph) -> Graph:
+    full = g.full_mask()
+    return Graph(g.n, tuple(full & ~m & ~(1 << v) for v, m in enumerate(g.adj)))
+
+
+def _grotzsch_graph() -> Graph:
+    # the Mycielskian of C5: triangle-free with chromatic number 4
+    edges = [(i, (i + 1) % 5) for i in range(5)]
+    edges += [(5 + i, (i + d) % 5) for i in range(5) for d in (1, 4)]
+    edges += [(10, 5 + i) for i in range(5)]
+    return Graph.from_edges(11, edges)
+
+
+def _assert_clique_partition(g: Graph, cover) -> None:
+    assert sorted(v for cl in cover for v in cl) == list(range(g.n))
+    assert all(is_clique(g, cl) for cl in cover)
+
+
+def test_clique_cover_above_stability_number():
+    # theta > alpha: odd holes, an odd antihole, the Grotzsch complement
+    cases = [
+        (cycle_graph(5), 2, 3),
+        (cycle_graph(7), 3, 4),
+        (_complement(cycle_graph(7)), 2, 3),
+        (_complement(_grotzsch_graph()), 2, 4),
+    ]
+    for g, alpha, theta in cases:
+        assert stability_number(g) == oracle_alpha(g) == alpha
+        assert clique_cover_number(g) == oracle_theta(g) == theta
+        _assert_clique_partition(g, clique_cover(g))
+
+
+def test_clique_cover_and_domination_match_oracles_on_graphs_and_squares():
+    rng = random.Random(20240601)
+    for _ in range(200):
+        g = random_graph(rng, rng.randint(0, 12), rng.random())
+        for h in (g, square(g)):
+            cover = clique_cover(h)
+            _assert_clique_partition(h, cover)
+            assert len(cover) == oracle_theta(h)
+            assert domination_number(h) == oracle_gamma(h)
+
+
+def _fixed_order_coloring(adj: tuple[int, ...], n: int) -> int:
+    # the colouring it replaced: vertices in a fixed order (greedy clique
+    # first, then by degree), greedy-clique lower bound, no colour-degree rule
+    if n == 0:
+        return 0
+    order_by_degree = sorted(range(n), key=lambda v: (-adj[v].bit_count(), v))
+    clique, cmask = [], 0
+    for v in order_by_degree:
+        if cmask & ~adj[v] == 0:
+            clique.append(v)
+            cmask |= 1 << v
+    order = clique + [v for v in order_by_degree if not cmask >> v & 1]
+    lower = len(clique)
+    greedy: list[int] = []
+    for v in order:
+        for i, cl in enumerate(greedy):
+            if cl & adj[v] == 0:
+                greedy[i] = cl | (1 << v)
+                break
+        else:
+            greedy.append(1 << v)
+    best_k = len(greedy)
+    classes: list[int] = []
+
+    def rec(idx: int) -> None:
+        nonlocal best_k
+        if len(classes) >= best_k:
+            return
+        if idx == n:
+            best_k = len(classes)
+            return
+        v = order[idx]
+        bit = 1 << v
+        for i, cl in enumerate(classes):
+            if cl & adj[v] == 0:
+                classes[i] = cl | bit
+                rec(idx + 1)
+                classes[i] = cl
+                if best_k == lower:
+                    return
+        if len(classes) + 1 < best_k:
+            classes.append(bit)
+            rec(idx + 1)
+            classes.pop()
+
+    if best_k > lower:
+        rec(0)
+    return best_k
+
+
+def _first_uncovered_domination(g: Graph) -> int:
+    # the domination search it replaced: branch over the closed
+    # neighbourhood of the first uncovered vertex, bound by
+    # ceil(uncovered / largest gain)
+    n = g.n
+    if n == 0:
+        return 0
+    closed = tuple(m | (1 << v) for v, m in enumerate(g.adj))
+    best = n
+
+    def rec(uncovered: int, size: int) -> None:
+        nonlocal best
+        if not uncovered:
+            best = min(best, size)
+            return
+        max_cover = max((closed[v] & uncovered).bit_count() for v in range(n))
+        if size + -(-uncovered.bit_count() // max_cover) >= best:
+            return
+        v = (uncovered & -uncovered).bit_length() - 1
+        for u in bit_indices(closed[v]):
+            rec(uncovered & ~closed[u], size + 1)
+
+    rec(g.full_mask(), 0)
+    return best
+
+
+def test_clique_cover_and_domination_match_the_searches_they_replaced():
+    rng = random.Random(16)
+    for _ in range(200):
+        g = random_graph(rng, rng.randint(0, 16), rng.random())
+        for h in (g, square(g)):
+            assert clique_cover_number(h) == _fixed_order_coloring(_complement(h).adj, h.n)
+            assert domination_number(h) == _first_uncovered_domination(h)
+
+
+def test_clique_cover_prunes_once_the_best_count_is_reached():
+    # theta = 6 > alpha = 5: without the prune on entering a node whose
+    # classes already number as many as the best colouring, the search
+    # enumerates every 6-colouring of the complement (about a minute)
+    g = square(random_connected_graph(36, 1))
+    assert stability_number(g) == 5
+    cover = clique_cover(g)
+    assert len(cover) == 6
+    _assert_clique_partition(g, cover)
 
 
 # ---------------------------------------------------------------------------
