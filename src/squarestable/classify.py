@@ -1,4 +1,4 @@
-"""Graph-class predicates with witnesses and built-in cross-checks.
+"""Graph-class predicates with witnesses and report-level consistency checks.
 
 Square-stability (alpha of the graph equals alpha of its square) sits at the
 centre; around it: well-coveredness, the Koenig-Egervary property, simplex
@@ -6,9 +6,11 @@ structure, stability of alpha under edge edits, the unique-matching and
 exchange properties of maximum stable sets, and the matroid test on the
 family of maximum stable sets.
 
-Wherever a predicate has both a definition and an independent
-characterisation, both are computed and compared; a mismatch raises
-:class:`InternalCheckError` instead of silently trusting either route.
+Each predicate is computed by one route; where that route is a
+characterisation, the tests cross-check it against the definition.  Only
+``omega_is_matroid`` computes two routes and compares them, and
+``classify`` checks that its report is consistent; a mismatch raises
+:class:`InternalCheckError` instead of silently trusting either result.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ from .graphs import (
     square,
     stable_subsets,
 )
-from .matchings import _count_matchings_into, matching_number, pendant_perfect_matching
+from .matchings import matching_number, pendant_perfect_matching
 from .solvers import (
     DEFAULT_CAP_OMEGA,
     OMEGA_CAP,
@@ -41,7 +43,6 @@ from .solvers import (
     _check_cap,
     enumerate_maximal_cliques,
     enumerate_maximal_stable_sets,
-    enumerate_maximum_stable_sets,
     maximum_stable_set,
     stability_number,
 )
@@ -54,6 +55,10 @@ class AlphaPlusClass(enum.Enum):
     NOT_PLUS = "NOT_PLUS"
     PLUS_0 = "PLUS_0"
     PLUS_1 = "PLUS_1"
+
+
+# The class of a graph whose core has 0, 1, or at least 2 vertices.
+_CLASS_BY_CORE_SIZE = (AlphaPlusClass.PLUS_0, AlphaPlusClass.PLUS_1, AlphaPlusClass.NOT_PLUS)
 
 
 @dataclass(frozen=True)
@@ -218,67 +223,35 @@ def is_simplicial_graph(g: Graph) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def alpha_minus_stable(g: Graph, cap=None, cap_omega=None) -> bool:
+def alpha_minus_stable(g: Graph, cap=None) -> bool:
     """True iff deleting any single edge leaves the stability number unchanged.
 
-    Computed from the definition, and cross-checked (when the family of
-    maximum stable sets is enumerable) against the criterion that every
-    outside vertex has at least two neighbours in every maximum stable set.
+    Deleting the edge uv raises alpha exactly when a stable set of size
+    alpha - 1 avoids the closed neighbourhoods of both u and v, so each edge
+    costs one stability number of a smaller vertex set.
     """
-    alpha = stability_number(g, cap)
-    by_definition = all(
-        stability_number(g.remove_edge(u, v), cap) == alpha for u, v in g.edges()
-    )
-    try:
-        family = enumerate_maximum_stable_sets(g, cap_omega)
-    except CapExceededError:
-        return by_definition
-    by_criterion = True
-    for s in family.sets:
-        smask = mask_of(s)
-        for v in bit_indices(g.full_mask() & ~smask):
-            if (g.adj[v] & smask).bit_count() < 2:
-                by_criterion = False
-                break
-        if not by_criterion:
-            break
-    if by_definition != by_criterion:
-        raise InternalCheckError(
-            f"edge-deletion route ({by_definition}) disagrees with "
-            f"neighbourhood route ({by_criterion}) for alpha_minus"
-        )
-    return by_definition
-
-
-def alpha_plus_class(g: Graph, cap=None, cap_omega=None) -> AlphaPlusClass:
-    """Classify by the intersection of all maximum stable sets: empty,
-    a single vertex, or larger (alpha then drops under some edge addition).
-
-    Cross-checked against the edge-addition definition of the property.
-    """
-    family = enumerate_maximum_stable_sets(g, cap_omega)
-    core = len(family.core)
-    cls = (
-        AlphaPlusClass.PLUS_0 if core == 0
-        else AlphaPlusClass.PLUS_1 if core == 1
-        else AlphaPlusClass.NOT_PLUS
-    )
     alpha = stability_number(g, cap)
     full = g.full_mask()
-    by_definition = True
-    for v in range(g.n):
-        for u in bit_indices(full & ~g.adj[v] & ~((1 << (v + 1)) - 1)):
-            if stability_number(g.add_edge(v, u), cap) != alpha:
-                by_definition = False
-                break
-        if not by_definition:
-            break
-    if by_definition != (cls is not AlphaPlusClass.NOT_PLUS):
-        raise InternalCheckError(
-            f"core-size route ({cls}) disagrees with edge-addition route "
-            f"({by_definition}) for alpha_plus"
-        )
-    return cls
+    return all(
+        _alpha_mask(g.adj, full & ~(g.adj[u] | g.adj[v])) < alpha - 1 for u, v in g.edges()
+    )
+
+
+def _omega_core(g: Graph, cap=None) -> frozenset[int]:
+    """The vertices that lie in every maximum stable set.
+
+    They all lie in any one maximum stable set S, and are the vertices of S
+    whose deletion lowers alpha: at most alpha stability numbers.
+    """
+    s = maximum_stable_set(g, cap)
+    full = g.full_mask()
+    return frozenset(v for v in s if _alpha_mask(g.adj, full & ~(1 << v)) < len(s))
+
+
+def alpha_plus_class(g: Graph, cap=None) -> AlphaPlusClass:
+    """Classify by the intersection of all maximum stable sets: empty,
+    a single vertex, or larger (alpha then drops under some edge addition)."""
+    return _CLASS_BY_CORE_SIZE[min(len(_omega_core(g, cap)), 2)]
 
 
 # ---------------------------------------------------------------------------
@@ -290,49 +263,20 @@ def p1_unique_matchability(g: Graph, s) -> bool:
     """True iff every stable set disjoint from ``s`` has exactly one matching
     into ``s``.
 
-    ``s`` need not be a maximum stable set.  Evaluated both exhaustively over
-    stable sets and by the direct criterion (every outside vertex has exactly
-    one neighbour in ``s``, and no two non-adjacent outside vertices share
-    that neighbour); the two must agree.
+    ``s`` need not be a maximum stable set.  Evaluated by the direct
+    criterion: every outside vertex has exactly one neighbour in ``s``, and
+    no two non-adjacent outside vertices share that neighbour.
     """
     smask = mask_of(s)
-    rest = g.full_mask() & ~smask
-
-    direct = True
-    partner: dict[int, int] = {}
-    for v in bit_indices(rest):
+    partner: dict[int, list[int]] = {}
+    for v in bit_indices(g.full_mask() & ~smask):
         hits = g.adj[v] & smask
         if hits.bit_count() != 1:
-            direct = False
-            break
-        partner[v] = hits.bit_length() - 1
-    if direct:
-        grouped: dict[int, list[int]] = {}
-        for v, w in partner.items():
-            grouped.setdefault(w, []).append(v)
-        for vs in grouped.values():
-            for a, b in itertools.combinations(vs, 2):
-                if not g.has_edge(a, b):
-                    direct = False
-                    break
-            if not direct:
-                break
-
-    exhaustive = True
-    for amask in stable_subsets(g, rest):
-        if amask == 0:
-            continue
-        count, _ = _count_matchings_into(g, amask, smask, 2)
-        if count != 1:
-            exhaustive = False
-            break
-
-    if direct != exhaustive:
-        raise InternalCheckError(
-            f"direct unique-matchability route ({direct}) disagrees with "
-            f"exhaustive route ({exhaustive})"
-        )
-    return exhaustive
+            return False
+        partner.setdefault(hits, []).append(v)
+    return all(
+        g.has_edge(a, b) for vs in partner.values() for a, b in itertools.combinations(vs, 2)
+    )
 
 
 def p2_exchangeability(g: Graph, s, cap=None) -> bool:
@@ -448,13 +392,12 @@ def classify(g: Graph, cap=None, cap_omega=None) -> ClassificationReport:
     wc = is_well_covered(g, cap_omega)
     vwc = is_very_well_covered(g, cap_omega)
     ke = is_koenig_egervary(g, cap)
-    cls = alpha_plus_class(g, cap, cap_omega)
-    aminus = alpha_minus_stable(g, cap, cap_omega)
-    family = enumerate_maximum_stable_sets(g, cap_omega)
+    core = _omega_core(g, cap)
+    aminus = alpha_minus_stable(g, cap)
 
     witnesses: dict = {
         "maximum_stable_set": sorted(maximum_stable_set(g, cap)),
-        "omega_core": sorted(family.core),
+        "omega_core": sorted(core),
     }
     if ss:
         witnesses["square_stable_distance3_set"] = sorted(square_stable_witness(g, cap))
@@ -481,7 +424,7 @@ def classify(g: Graph, cap=None, cap_omega=None) -> ClassificationReport:
         chordal=is_chordal(g),
         simplex_partition=simplex_partition_check(g),
         alpha_minus=aminus,
-        alpha_plus_class=cls,
+        alpha_plus_class=_CLASS_BY_CORE_SIZE[min(len(core), 2)],
         omega_matroid=omega_is_matroid(g, cap_omega),
         witnesses=witnesses,
     )

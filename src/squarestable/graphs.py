@@ -10,12 +10,20 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterable, Iterator
 
 from .errors import ParseError
 
 #: Sentinel distance between vertices in different components.
 INFINITE = math.inf
+
+# Decorates the private helpers that compute one value of one graph: each
+# keeps its results for the last few graphs it was asked about, so that the
+# layers reading a graph's values compute each of them once.  Graphs are
+# immutable, so a stored value never goes stale; a call that raises stores
+# nothing.
+_store = lru_cache(maxsize=8)
 
 
 def mask_of(vertices: Iterable[int]) -> int:
@@ -266,6 +274,11 @@ def to_graph6(g: Graph) -> str:
 
 def square(g: Graph) -> Graph:
     """The square of ``g``: same vertices, an edge wherever distance is 1 or 2."""
+    return _square(g)
+
+
+@_store
+def _square(g: Graph) -> Graph:
     adj2 = []
     for v in range(g.n):
         m = g.adj[v]

@@ -10,6 +10,15 @@ largest gains that can cover the rest.  Two caps guard against accidental
 blow-ups: a hard solver cap
 (default 64) and a family-enumeration cap (default 24, since the number of
 maximum stable sets can be exponential even when the number itself is easy).
+
+Each value is computed once per graph.  A cap-free private helper computes
+it and keeps it for the last few graphs asked about, in a bounded store
+(``graphs._store``, which also keeps ``square``): the stability number, the
+lexicographically least maximum stable set, the family of maximum stable
+sets, the family of maximal stable sets, the domination number and the
+minimum clique cover.  Each public function checks its cap before it reads
+the store, so a refused call is refused again every time, and hands out a
+fresh copy of a stored list.
 """
 
 from __future__ import annotations
@@ -17,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import CapExceededError, InternalCheckError
-from .graphs import Graph, bit_indices, set_of, square
+from .graphs import Graph, _store, bit_indices, set_of, square
 from .matchings import matching_number
 
 DEFAULT_CAP_N = 64
@@ -127,6 +136,11 @@ def _alpha_mask(adj: tuple[int, ...], mask: int) -> int:
 def stability_number(g: Graph, cap=None) -> int:
     """Exact maximum size of a stable set (branch-and-bound on bitsets)."""
     _check_cap(g.n, cap, DEFAULT_CAP_N, SOLVER_CAP)
+    return _alpha(g)
+
+
+@_store
+def _alpha(g: Graph) -> int:
     return _alpha_mask(g.adj, g.full_mask())
 
 
@@ -134,8 +148,13 @@ def maximum_stable_set(g: Graph, cap=None) -> frozenset[int]:
     """One maximum stable set: the lexicographically smallest as a sorted
     vertex list."""
     _check_cap(g.n, cap, DEFAULT_CAP_N, SOLVER_CAP)
+    return _least_maximum_stable_set(g)
+
+
+@_store
+def _least_maximum_stable_set(g: Graph) -> frozenset[int]:
     adj = g.adj
-    remaining = _alpha_mask(adj, g.full_mask())
+    remaining = _alpha(g)
     chosen: list[int] = []
     cand = g.full_mask()
     v = 0
@@ -154,8 +173,13 @@ def maximum_stable_set(g: Graph, cap=None) -> frozenset[int]:
 def enumerate_maximum_stable_sets(g: Graph, cap=None) -> StableSetFamily:
     """Every maximum stable set, exactly once, in lexicographic order."""
     _check_cap(g.n, cap, DEFAULT_CAP_OMEGA, OMEGA_CAP)
+    return _omega(g)
+
+
+@_store
+def _omega(g: Graph) -> StableSetFamily:
     adj = g.adj
-    alpha = _alpha_mask(adj, g.full_mask())
+    alpha = _alpha(g)
     results: list[frozenset[int]] = []
 
     def rec(chosen: list[int], cand: int, size: int) -> None:
@@ -187,9 +211,14 @@ def enumerate_maximal_cliques(g: Graph) -> list[frozenset[int]]:
 def enumerate_maximal_stable_sets(g: Graph, cap=None) -> list[frozenset[int]]:
     """All inclusion-maximal stable sets, each exactly once, sorted."""
     _check_cap(g.n, cap, DEFAULT_CAP_OMEGA, OMEGA_CAP)
+    return list(_maximal_stable_sets(g))
+
+
+@_store
+def _maximal_stable_sets(g: Graph) -> tuple[frozenset[int], ...]:
     full = g.full_mask()
     co_adj = tuple(full & ~m & ~(1 << v) for v, m in enumerate(g.adj))
-    return sorted((set_of(m) for m in _bron_kerbosch(co_adj, full)), key=sorted)
+    return tuple(sorted((set_of(m) for m in _bron_kerbosch(co_adj, full)), key=sorted))
 
 
 def _bron_kerbosch(adj: tuple[int, ...], full: int) -> list[int]:
@@ -246,6 +275,11 @@ def domination_number(g: Graph, cap=None) -> int:
     is left.
     """
     _check_cap(g.n, cap, DEFAULT_CAP_N, SOLVER_CAP)
+    return _gamma(g)
+
+
+@_store
+def _gamma(g: Graph) -> int:
     n = g.n
     if n == 0:
         return 0
@@ -372,10 +406,15 @@ def clique_cover(g: Graph, cap=None) -> list[frozenset[int]]:
     is the clique number of the complement.
     """
     _check_cap(g.n, cap, DEFAULT_CAP_N, SOLVER_CAP)
+    return list(_cover(g))
+
+
+@_store
+def _cover(g: Graph) -> tuple[frozenset[int], ...]:
     full = g.full_mask()
     co_adj = tuple(full & ~m & ~(1 << v) for v, m in enumerate(g.adj))
-    classes = _exact_coloring(co_adj, g.n, lambda: _alpha_mask(g.adj, full))
-    return sorted((set_of(c) for c in classes), key=sorted)
+    classes = _exact_coloring(co_adj, g.n, lambda: _alpha(g))
+    return tuple(sorted((set_of(c) for c in classes), key=sorted))
 
 
 def clique_cover_number(g: Graph, cap=None) -> int:

@@ -6,8 +6,10 @@ the invariant-inequality chain, a battery of implications between the graph
 classes, the tree characterisation with its recursive edge structure, the
 girth-at-least-six characterisation, and the matroid dual-route agreement.
 
-The statements and the implication clauses are tables of predicates over one
-memo per graph, and the suites are a registry that one loop runs.  A
+The statements and the implication clauses are tables of predicates of a
+graph and its caps, and the suites are a registry that one loop runs.  The
+predicates share the values of a graph through the solvers' per-graph store,
+so each value is computed once however many of them read it.  A
 violation names its graph and clause.  Its witness is the disagreeing values
 or the failed internal check's message; implication clauses do not yet
 produce one, so their witness is empty.  All results are deterministic for a
@@ -17,7 +19,6 @@ given corpus and configuration.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
 from typing import Iterable, Optional
 
 from .classify import (
@@ -48,6 +49,7 @@ from .graphs import (
     is_stable_set,
     is_tree,
     isolated_vertices,
+    mask_of,
     pendant_vertices,
     square,
     symmetric_difference_subgraph,
@@ -68,107 +70,83 @@ from .solvers import (
 )
 
 
-class _Memo:
-    """The values of one graph that several statements or clauses read.
-
-    The solver results are computed on first use.  ``cached_property`` stores
-    nothing when the computation raises, so a value refused by a cap is
-    refused again at every read, and each of its readers reads ``None``.
-    """
-
-    def __init__(self, g: Graph, cap, cap_omega) -> None:
-        self.g, self.cap, self.cap_omega = g, cap, cap_omega
-        self.sq = square(g)
-        self.dist = distance_matrix(g)
-        self.connected = is_connected(g)
-        self.isolated = g.n == 0 or bool(isolated_vertices(g))
-
-    @cached_property
-    def omega(self) -> tuple:
-        return enumerate_maximum_stable_sets(self.g, self.cap_omega).sets
-
-    @cached_property
-    def omega_sq(self) -> tuple:
-        return enumerate_maximum_stable_sets(self.sq, self.cap_omega).sets
-
-    @cached_property
-    def alpha(self) -> int:
-        return stability_number(self.g, self.cap)
-
-    @cached_property
-    def alpha_sq(self) -> int:
-        return stability_number(self.sq, self.cap)
-
-    @cached_property
-    def theta(self) -> int:
-        return clique_cover_number(self.g, self.cap)
-
-    @cached_property
-    def theta_sq(self) -> int:
-        return clique_cover_number(self.sq, self.cap)
-
-    @property
-    def square_stable(self) -> bool:
-        return self.alpha == self.alpha_sq
-
-
-@lru_cache(maxsize=1)
-def _shared_memo(g: Graph, cap, cap_omega) -> _Memo:
-    """The memo of the graph last asked for, so that the equivalences and the
-    implications suites, run one after the other, share one."""
-    return _Memo(g, cap, cap_omega)
-
-
-def _attempt(predicate, m: _Memo):
+def _attempt(predicate, g: Graph, cap, cap_omega):
     """The predicate's value, or ``None`` when a cap refuses it."""
     try:
-        return predicate(m)
+        return predicate(g, cap, cap_omega)
     except CapExceededError:
         return None
 
 
-def _spread(d: list[list], s) -> bool:
-    """True iff the vertices of ``s`` are pairwise at distance at least 3."""
-    return all(d[a][b] >= 3 for a in s for b in s if a < b)
+def _spread(g: Graph, s) -> bool:
+    """True iff the vertices of ``s`` are pairwise at distance at least 3:
+    no two are adjacent and no two have a common neighbour."""
+    seen = mask_of(s)
+    for v in s:
+        if g.adj[v] & seen:
+            return False
+        seen |= g.adj[v]
+    return True
 
 
-def _differences(m: _Memo):
-    """G[S1 ^ S2] for every S1 in Omega(G) and S2 in Omega(G^2), lazily."""
-    return (
-        symmetric_difference_subgraph(m.g, s1, s2) for s1 in m.omega for s2 in m.omega_sq
-    )
+def _omega(g: Graph, cap_omega) -> tuple:
+    return enumerate_maximum_stable_sets(g, cap_omega).sets
+
+
+def _omega_sq(g: Graph, cap_omega) -> tuple:
+    return enumerate_maximum_stable_sets(square(g), cap_omega).sets
+
+
+def _isolated(g: Graph) -> bool:
+    return g.n == 0 or bool(isolated_vertices(g))
+
+
+def _differences(g: Graph, cap_omega):
+    """G[S1 ^ S2] for every S1 in Omega(G) and S2 in Omega(G^2), each built
+    when the caller reaches it."""
+    omega, omega_sq = _omega(g, cap_omega), _omega_sq(g, cap_omega)
+    return (symmetric_difference_subgraph(g, s1, s2) for s1 in omega for s2 in omega_sq)
 
 
 # The thirteen characterisations of square-stability for a connected graph,
 # each by its own route, in report order.
 _STATEMENTS = {
-    "simplex_partition": lambda m: simplex_partition_check(m.g),
-    "alpha_preserved_by_square": lambda m: m.square_stable,
-    "theta_preserved_by_square": lambda m: m.theta == m.theta_sq,
-    "six_invariants_equal": lambda m: len({
-        m.alpha_sq,
-        m.theta_sq,
-        domination_number(m.g, m.cap),
-        independent_domination_number(m.g, m.cap_omega),
-        m.alpha,
-        m.theta,
+    "simplex_partition": lambda g, cap, cap_omega: simplex_partition_check(g),
+    "alpha_preserved_by_square": lambda g, cap, cap_omega: is_square_stable(g, cap),
+    "theta_preserved_by_square":
+        lambda g, cap, cap_omega:
+        clique_cover_number(g, cap) == clique_cover_number(square(g), cap),
+    "six_invariants_equal": lambda g, cap, cap_omega: len({
+        stability_number(square(g), cap),
+        clique_cover_number(square(g), cap),
+        domination_number(g, cap),
+        independent_domination_number(g, cap_omega),
+        stability_number(g, cap),
+        clique_cover_number(g, cap),
     }) == 1,
-    "square_omega_contained": lambda m: set(m.omega_sq) <= set(m.omega),
-    "distance3_maximum_stable_set": lambda m: any(_spread(m.dist, s) for s in m.omega),
+    "square_omega_contained":
+        lambda g, cap, cap_omega: set(_omega_sq(g, cap_omega)) <= set(_omega(g, cap_omega)),
+    "distance3_maximum_stable_set":
+        lambda g, cap, cap_omega: any(_spread(g, s) for s in _omega(g, cap_omega)),
     "some_set_uniquely_matchable":
-        lambda m: any(p1_unique_matchability(m.g, s) for s in m.omega),
+        lambda g, cap, cap_omega: any(p1_unique_matchability(g, s) for s in _omega(g, cap_omega)),
     "all_square_sets_uniquely_matchable":
-        lambda m: all(p1_unique_matchability(m.g, s) for s in m.omega_sq),
+        lambda g, cap, cap_omega:
+        all(p1_unique_matchability(g, s) for s in _omega_sq(g, cap_omega)),
     "symmetric_differences_unique_pm":
-        lambda m: all(count_perfect_matchings(h, 2) == 1 for h in _differences(m)),
+        lambda g, cap, cap_omega:
+        all(count_perfect_matchings(h, 2) == 1 for h in _differences(g, cap_omega)),
     "symmetric_differences_have_pm":
-        lambda m: all(2 * matching_number(h) == h.n for h in _differences(m)),
+        lambda g, cap, cap_omega:
+        all(2 * matching_number(h) == h.n for h in _differences(g, cap_omega)),
     "symmetric_differences_induced_pm":
-        lambda m: all(has_induced_perfect_matching(h) for h in _differences(m)),
+        lambda g, cap, cap_omega:
+        all(has_induced_perfect_matching(h) for h in _differences(g, cap_omega)),
     "some_set_exchangeable":
-        lambda m: any(p2_exchangeability(m.g, s, m.cap) for s in m.omega),
+        lambda g, cap, cap_omega: any(p2_exchangeability(g, s, cap) for s in _omega(g, cap_omega)),
     "all_square_sets_exchangeable":
-        lambda m: all(p2_exchangeability(m.g, s, m.cap) for s in m.omega_sq),
+        lambda g, cap, cap_omega:
+        all(p2_exchangeability(g, s, cap) for s in _omega_sq(g, cap_omega)),
 }
 
 STATEMENT_NAMES = tuple(_STATEMENTS)
@@ -200,9 +178,8 @@ def verify_equivalences(g: Graph, cap=None, cap_omega=None, graph_id: str = "") 
     parts = [g] if is_connected(g) else [induced_subgraph(g, c)[0] for c in components(g)]
     values = [True] * len(STATEMENT_NAMES)
     for part in parts:
-        m = _shared_memo(part, cap, cap_omega)
         for i, statement in enumerate(_STATEMENTS.values()):
-            v = _attempt(statement, m)
+            v = _attempt(statement, part, cap, cap_omega)
             if v is None:
                 values[i] = None
             elif values[i] is not None:
@@ -221,44 +198,42 @@ def verify_equivalences(g: Graph, cap=None, cap_omega=None, graph_id: str = "") 
 # ---------------------------------------------------------------------------
 
 
-def _distance3_attained(m: _Memo):
-    if not (m.square_stable and m.connected and not is_complete(m.g)):
+def _distance3_attained(g: Graph, cap, cap_omega):
+    if not (is_square_stable(g, cap) and is_connected(g) and not is_complete(g)):
         return None
+    dist = distance_matrix(g)
     return all(
-        any(m.dist[a][b] == 3 for b in s if b != a) for s in m.omega_sq for a in s
+        any(dist[a][b] == 3 for b in s if b != a) for s in _omega_sq(g, cap_omega) for a in s
     )
 
 
-def _pendant_matching_forces_square_omega(m: _Memo) -> bool:
-    if pendant_perfect_matching(m.g) is None:
+def _pendant_matching_forces_square_omega(g: Graph, cap, cap_omega) -> bool:
+    if pendant_perfect_matching(g) is None:
         return True
-    if not m.square_stable:
+    if not is_square_stable(g, cap):
         return False
-    pend = pendant_vertices(m.g)
-    if not is_stable_set(m.g, pend):
+    pend = pendant_vertices(g)
+    if not is_stable_set(g, pend):
         # a matching edge with two pendant endpoints (a K2 component)
         # leaves a per-edge choice, so the family cannot be a singleton
         return True
-    return set(m.omega_sq) == {pend}
+    return set(_omega_sq(g, cap_omega)) == {pend}
 
 
-def _ke_pendant_characterisation(m: _Memo):
-    g = m.g
-    if not (m.connected and g.n >= 2 and is_koenig_egervary(g, m.cap)):
+def _ke_pendant_characterisation(g: Graph, cap, cap_omega):
+    if not (is_connected(g) and g.n >= 2 and is_koenig_egervary(g, cap)):
         return None
     # all three sides are computed first: a refusal of any one makes the
     # clause unevaluated, not decided by the other two
     pendant_pm = pendant_perfect_matching(g) is not None
-    pendant_vwc = (is_very_well_covered(g, m.cap_omega)
-                   and pendants_contain_maximum_stable_set(g, m.cap))
-    return m.square_stable == pendant_pm == pendant_vwc
+    pendant_vwc = (is_very_well_covered(g, cap_omega)
+                   and pendants_contain_maximum_stable_set(g, cap))
+    return is_square_stable(g, cap) == pendant_pm == pendant_vwc
 
 
-def _component_reduction(m: _Memo) -> bool:
-    parts = [
-        is_square_stable(induced_subgraph(m.g, comp)[0], m.cap) for comp in components(m.g)
-    ]
-    return m.square_stable == all(parts)
+def _component_reduction(g: Graph, cap, cap_omega) -> bool:
+    parts = [is_square_stable(induced_subgraph(g, comp)[0], cap) for comp in components(g)]
+    return is_square_stable(g, cap) == all(parts)
 
 
 # Each conditional between the graph classes, in report order.  A clause reads
@@ -267,37 +242,40 @@ def _component_reduction(m: _Memo) -> bool:
 # well-coveredness is undefined by fiat.
 _CLAUSES = {
     "square_stable_iff_square_omega_contained":
-        lambda m: m.square_stable == (set(m.omega_sq) <= set(m.omega)),
-    "square_omega_pairwise_distance3": lambda m: all(_spread(m.dist, s) for s in m.omega_sq),
+        lambda g, cap, cap_omega: is_square_stable(g, cap)
+        == (set(_omega_sq(g, cap_omega)) <= set(_omega(g, cap_omega))),
+    "square_omega_pairwise_distance3":
+        lambda g, cap, cap_omega: all(_spread(g, s) for s in _omega_sq(g, cap_omega)),
     "square_omega_distance3_attained": _distance3_attained,
     "omega_equality_iff_complete":
-        lambda m: ((set(m.omega_sq) == set(m.omega)) == is_complete(m.g))
-        if m.connected else None,
+        lambda g, cap, cap_omega:
+        ((set(_omega_sq(g, cap_omega)) == set(_omega(g, cap_omega))) == is_complete(g))
+        if is_connected(g) else None,
     "square_stable_not_alpha_minus":
-        lambda m: None if m.isolated
-        else not m.square_stable or not alpha_minus_stable(m.g, m.cap, m.cap_omega),
+        lambda g, cap, cap_omega: None if _isolated(g)
+        else not is_square_stable(g, cap) or not alpha_minus_stable(g, cap),
     "square_stable_alpha_plus_zero":
-        lambda m: None if m.isolated
-        else not m.square_stable
-        or alpha_plus_class(m.g, m.cap, m.cap_omega) is AlphaPlusClass.PLUS_0,
+        lambda g, cap, cap_omega: None if _isolated(g)
+        else not is_square_stable(g, cap) or alpha_plus_class(g, cap) is AlphaPlusClass.PLUS_0,
     "square_stable_well_covered":
-        lambda m: None if m.isolated
-        else not m.square_stable or is_well_covered(m.g, m.cap_omega),
+        lambda g, cap, cap_omega: None if _isolated(g)
+        else not is_square_stable(g, cap) or is_well_covered(g, cap_omega),
     "square_stable_iff_simplicial_well_covered":
-        lambda m: None if m.isolated
-        else m.square_stable == (is_simplicial_graph(m.g)
-                                 and is_well_covered(m.g, m.cap_omega)),
+        lambda g, cap, cap_omega: None if _isolated(g)
+        else is_square_stable(g, cap)
+        == (is_simplicial_graph(g) and is_well_covered(g, cap_omega)),
     "chordal_square_stable_iff_well_covered":
-        lambda m: None if m.isolated or not is_chordal(m.g)
-        else m.square_stable == is_well_covered(m.g, m.cap_omega),
+        lambda g, cap, cap_omega: None if _isolated(g) or not is_chordal(g)
+        else is_square_stable(g, cap) == is_well_covered(g, cap_omega),
     "pendant_matching_forces_square_omega": _pendant_matching_forces_square_omega,
     "ke_pendant_characterisation": _ke_pendant_characterisation,
     "ke_well_covered_iff_very_well_covered":
-        lambda m: (is_well_covered(m.g, m.cap_omega) == is_very_well_covered(m.g, m.cap_omega))
-        if is_koenig_egervary(m.g, m.cap) else None,
+        lambda g, cap, cap_omega:
+        (is_well_covered(g, cap_omega) == is_very_well_covered(g, cap_omega))
+        if is_koenig_egervary(g, cap) else None,
     "square_stable_ke_square":
-        lambda m: not (m.square_stable and is_koenig_egervary(m.g, m.cap))
-        or is_koenig_egervary(m.sq, m.cap),
+        lambda g, cap, cap_omega: not (is_square_stable(g, cap) and is_koenig_egervary(g, cap))
+        or is_koenig_egervary(square(g), cap),
     "component_reduction": _component_reduction,
 }
 
@@ -308,8 +286,7 @@ def implication_clauses(g: Graph, cap=None, cap_omega=None) -> list[tuple]:
     ``holds`` is ``None`` when the clause's hypotheses exclude the graph or a
     cap refuses it.  The witness is ``""`` for every clause so far.
     """
-    m = _shared_memo(g, cap, cap_omega)
-    return [(name, _attempt(clause, m), "") for name, clause in _CLAUSES.items()]
+    return [(name, _attempt(clause, g, cap, cap_omega), "") for name, clause in _CLAUSES.items()]
 
 
 # ---------------------------------------------------------------------------

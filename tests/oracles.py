@@ -3,13 +3,21 @@
 Everything here is a direct transcription of a definition: subset scans,
 subset-DP, Floyd-Warshall.  Slow on purpose; used only to cross-check the
 real solvers on small graphs.
+
+The definitional routes of the class predicates at the end are the
+exception: they read the library's exact alpha, its family of maximum
+stable sets and its matching counter on edited graphs and stable subsets,
+so they are independent of the characterisations that ``classify``
+computes, not of the solvers.
 """
 
 from functools import lru_cache
 from itertools import permutations
 import random
 
-from squarestable.graphs import Graph, INFINITE, bit_indices
+from squarestable.graphs import Graph, INFINITE, bit_indices, mask_of, stable_subsets
+from squarestable.matchings import _count_matchings_into
+from squarestable.solvers import enumerate_maximum_stable_sets, stability_number
 
 
 def _is_stable_mask(g: Graph, m: int) -> bool:
@@ -242,3 +250,48 @@ def random_graph(rng: random.Random, n: int, p: float) -> Graph:
         (i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < p
     ]
     return Graph.from_edges(n, edges)
+
+
+# ---------------------------------------------------------------------------
+# Definitional routes of the class predicates
+# ---------------------------------------------------------------------------
+
+
+def alpha_plus_by_edge_addition(g: Graph) -> bool:
+    """True iff adding any one missing edge leaves alpha unchanged."""
+    alpha = stability_number(g)
+    return all(
+        stability_number(g.add_edge(u, v)) == alpha
+        for u in range(g.n) for v in range(u + 1, g.n) if not g.has_edge(u, v)
+    )
+
+
+def omega_core_by_intersection(g: Graph) -> frozenset:
+    """The intersection of every maximum stable set."""
+    return enumerate_maximum_stable_sets(g).core
+
+
+def alpha_minus_by_edge_deletion(g: Graph) -> bool:
+    """True iff deleting any one edge leaves alpha unchanged."""
+    alpha = stability_number(g)
+    return all(stability_number(g.remove_edge(u, v)) == alpha for u, v in g.edges())
+
+
+def alpha_minus_by_omega_neighbourhoods(g: Graph) -> bool:
+    """True iff every vertex outside a maximum stable set has at least two
+    neighbours in it, for every maximum stable set."""
+    for s in enumerate_maximum_stable_sets(g).sets:
+        smask = mask_of(s)
+        if any((g.adj[v] & smask).bit_count() < 2 for v in range(g.n) if not smask >> v & 1):
+            return False
+    return True
+
+
+def p1_by_stable_subsets(g: Graph, s) -> bool:
+    """True iff every non-empty stable set disjoint from ``s`` has exactly
+    one matching into ``s``, by scanning those stable sets."""
+    smask = mask_of(s)
+    return all(
+        _count_matchings_into(g, amask, smask, 2)[0] == 1
+        for amask in stable_subsets(g, g.full_mask() & ~smask) if amask
+    )

@@ -3,6 +3,7 @@ from hypothesis import given, settings
 
 from squarestable.classify import (
     AlphaPlusClass,
+    _omega_core,
     alpha_minus_stable,
     alpha_plus_class,
     classify,
@@ -27,11 +28,22 @@ from squarestable.generate import (
     complete_graph,
     corona_with_k1,
     cycle_graph,
+    enumerate_corpus,
     named_fixture,
     path_graph,
+    random_connected_graph,
+    sample_corpus,
     star_graph,
 )
-from squarestable.graphs import Graph, distance_matrix
+from squarestable.graphs import Graph, distance_matrix, square
+from squarestable.solvers import enumerate_maximum_stable_sets
+from oracles import (
+    alpha_minus_by_edge_deletion,
+    alpha_minus_by_omega_neighbourhoods,
+    alpha_plus_by_edge_addition,
+    omega_core_by_intersection,
+    p1_by_stable_subsets,
+)
 from strategies import graphs
 
 DIAMOND = named_fixture("diamond")
@@ -160,6 +172,34 @@ def test_alpha_plus_examples():
         assert alpha_plus_class(complete_graph(n)) is AlphaPlusClass.PLUS_0
     assert alpha_plus_class(complete_graph(1)) is AlphaPlusClass.PLUS_1
     assert alpha_plus_class(cycle_graph(6)) is AlphaPlusClass.PLUS_0
+
+
+def test_edge_edit_classes_are_answered_above_the_enumeration_cap():
+    # 30 vertices: more than the stable-set enumeration cap of 24 allows
+    c30 = cycle_graph(30)
+    assert alpha_plus_class(c30) is AlphaPlusClass.PLUS_0
+    assert alpha_minus_stable(c30) is True
+    g = random_connected_graph(30, 1)
+    assert alpha_plus_class(g) is AlphaPlusClass.NOT_PLUS
+    assert alpha_minus_stable(g) is False
+
+
+def test_one_route_predicates_match_their_definitions():
+    # Each predicate against the definitions and characterisations it no
+    # longer computes, on every graph to 7 vertices and a seeded sample.
+    by_core_size = {0: AlphaPlusClass.PLUS_0, 1: AlphaPlusClass.PLUS_1}
+    corpus = list(enumerate_corpus(7, connected_only=False)) + list(sample_corpus(300, 12, 5))
+    for g in corpus:
+        core = omega_core_by_intersection(g)
+        assert _omega_core(g) == core, g
+        plus = alpha_plus_class(g)
+        assert plus is by_core_size.get(len(core), AlphaPlusClass.NOT_PLUS), g
+        assert (plus is not AlphaPlusClass.NOT_PLUS) == alpha_plus_by_edge_addition(g), g
+        assert alpha_minus_stable(g) == alpha_minus_by_edge_deletion(g), g
+        assert alpha_minus_stable(g) == alpha_minus_by_omega_neighbourhoods(g), g
+        family = set(enumerate_maximum_stable_sets(g).sets)
+        for s in family | set(enumerate_maximum_stable_sets(square(g)).sets):
+            assert p1_unique_matchability(g, s) == p1_by_stable_subsets(g, s), (g, s)
 
 
 # ---------------------------------------------------------------------------

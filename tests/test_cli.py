@@ -5,7 +5,12 @@ import sys
 from pathlib import Path
 
 from squarestable import cli
-from squarestable.generate import canonical_graph6, cycle_graph, named_fixture
+from squarestable.generate import (
+    canonical_graph6,
+    cycle_graph,
+    named_fixture,
+    random_connected_graph,
+)
 from squarestable.graphs import format_edge_list, parse_edge_list, parse_graph6, to_graph6
 
 
@@ -314,3 +319,31 @@ def test_verify_reports_are_pinned(capsys):
         code, out, err = run_cli(capsys, *argv)
         assert code == 0, err
         assert hashlib.sha256(out.encode()).hexdigest() == digest, argv
+
+
+def test_capped_verify_report_is_pinned(capsys):
+    import hashlib
+
+    # Many values of this corpus are refused by one cap or the other, so the
+    # digest pins which predicates read which cap, and which refusals a
+    # statement or clause turns into an unevaluated entry.
+    argv = ("verify", "--sample", "200", "--max-n", "12", "--seed", "4",
+            "--cap-n", "9", "--cap-omega", "8", "--details")
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 0, err
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "7ed8cc022a1d7e7d8884935d952d3eda9d981cd892b762cc1fe2d958183c9191")
+
+
+def test_analyze_report_is_pinned(capsys, tmp_path):
+    import hashlib
+
+    # Every invariant, class and witness of nine seeded graphs and of their
+    # squares, and the family of maximum stable sets of each graph.
+    path = tmp_path / "seeded.g6"
+    path.write_text("".join(
+        to_graph6(random_connected_graph(n, s)) + "\n" for n in (12, 18, 24) for s in range(3)))
+    code, out, err = run_cli(capsys, "analyze", "--omega", "--square", str(path))
+    assert code == 0, err
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "d6a9240d1ce6837d3a6084d5481a762826dce60dfb2664ac61efc7775fe5e31a")

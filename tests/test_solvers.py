@@ -357,3 +357,51 @@ def test_solver_cap_refusal():
         enumerate_maximum_stable_sets(g, cap=5)
     # refusal is an exception, not an empty family
     assert enumerate_maximum_stable_sets(g, cap=6).sets
+
+
+# ---------------------------------------------------------------------------
+# the per-graph store
+# ---------------------------------------------------------------------------
+
+_STORED_SOLVERS = (
+    stability_number,
+    maximum_stable_set,
+    enumerate_maximum_stable_sets,
+    enumerate_maximal_stable_sets,
+    independent_domination_number,
+    domination_number,
+    clique_cover,
+    clique_cover_number,
+)
+
+
+def test_a_stored_value_is_still_refused_above_the_cap():
+    g = cycle_graph(12)
+    for solve in _STORED_SOLVERS:
+        solve(g)  # stores the value
+        with pytest.raises(CapExceededError):
+            solve(g, cap=g.n - 1)
+        solve(g, cap=g.n)
+    with pytest.raises(CapExceededError, match="enumeration cap"):
+        enumerate_maximum_stable_sets(g, cap=5)
+
+
+def test_stored_lists_are_handed_out_as_copies():
+    g = cycle_graph(7)
+    cover, maximal = clique_cover(g), enumerate_maximal_stable_sets(g)
+    expected = (list(cover), list(maximal))
+    cover.clear()
+    maximal.append(frozenset())
+    assert (clique_cover(g), enumerate_maximal_stable_sets(g)) == expected
+
+
+def test_equal_graphs_built_apart_give_equal_results():
+    for seed in range(6):
+        g = random_connected_graph(11, seed)
+        h = Graph.from_edges(g.n, reversed(g.edges()))
+        assert h == g and h is not g
+        for solve in _STORED_SOLVERS:
+            assert solve(h) == solve(g), solve.__name__
+        assert stability_number(h) == oracle_alpha(g)
+        assert clique_cover_number(h) == oracle_theta(g)
+        assert square(h) == square(g)
