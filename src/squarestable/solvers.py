@@ -3,11 +3,13 @@ invariants, plus exhaustive enumeration of stable-set families.
 
 Everything here is exact: branch-and-bound for the optimisation numbers,
 full enumeration (pivoted Bron-Kerbosch, levelled branching) for the set
-families.  The clique cover is a DSATUR colouring of the complement, stopped
-as soon as it meets the stability number; domination branches on the
-uncovered vertex with the fewest dominators and is bounded by the fewest
-largest gains that can cover the rest.  Two caps guard against accidental
-blow-ups: a hard solver cap
+families.  The stability number is MCQ (Tomita & Seki 2003) on the
+complement, with the bitset clique classes of BBMC (San Segundo et al. 2011);
+their count also bounds the enumeration of maximum stable sets.  The clique
+cover is a DSATUR colouring of the complement, stopped as soon as it meets
+the stability number; domination branches on the uncovered vertex with the
+fewest dominators and is bounded by the fewest largest gains that can cover
+the rest.  Two caps guard against accidental blow-ups: a hard solver cap
 (default 64) and a family-enumeration cap (default 24, since the number of
 maximum stable sets can be exponential even when the number itself is easy).
 
@@ -86,55 +88,52 @@ class StableSetFamily:
 # ---------------------------------------------------------------------------
 
 
-def _clique_cover_bound(adj: tuple[int, ...], cand: int) -> int:
-    # Greedy clique partition of the candidate set; its size bounds the
-    # stability number from above.
-    cliques: list[int] = []
-    mm = cand
-    while mm:
-        b = mm & -mm
-        v = b.bit_length() - 1
-        mm ^= b
-        av = adj[v]
-        for i, cl in enumerate(cliques):
-            if cl & ~av == 0:
-                cliques[i] = cl | b
-                break
-        else:
-            cliques.append(b)
-    return len(cliques)
+def _clique_partition(adj: tuple[int, ...], cand: int) -> list[int]:
+    # Greedy partition of the candidate set into cliques, one class at a
+    # time: each class takes the lowest vertex left, then the lowest vertex
+    # adjacent to every member so far.  A stable set meets each class at most
+    # once, so the union of any k classes has stability number at most k.
+    classes: list[int] = []
+    while cand:
+        cls = 0
+        q = cand
+        while q:
+            b = q & -q
+            cls |= b
+            q &= adj[b.bit_length() - 1]
+        cand &= ~cls
+        classes.append(cls)
+    return classes
 
 
 def _alpha_mask(adj: tuple[int, ...], mask: int) -> int:
+    # when a vertex of class k is next, the candidates left lie in classes
+    # 1..k, so no stable set among them has more than k members
     best = 0
 
     def rec(cand: int, size: int) -> None:
         nonlocal best
         if size > best:
             best = size
-        if not cand:
-            return
-        if size + _clique_cover_bound(adj, cand) <= best:
-            return
-        # branch on a vertex of maximum degree inside the candidate set
-        v, vdeg = -1, -1
-        mm = cand
-        while mm:
-            b = mm & -mm
-            w = b.bit_length() - 1
-            d = (adj[w] & cand).bit_count()
-            if d > vdeg:
-                v, vdeg = w, d
-            mm ^= b
-        rec(cand & ~adj[v] & ~(1 << v), size + 1)
-        rec(cand & ~(1 << v), size)
+        classes = _clique_partition(adj, cand)
+        for k in range(len(classes), 0, -1):
+            cls = classes[k - 1]
+            while cls:
+                if size + k <= best:
+                    return
+                b = cls & -cls
+                cls ^= b
+                rec(cand & ~adj[b.bit_length() - 1] & ~b, size + 1)
+                cand ^= b
 
     rec(mask, 0)
     return best
 
 
 def stability_number(g: Graph, cap=None) -> int:
-    """Exact maximum size of a stable set (branch-and-bound on bitsets)."""
+    """Exact maximum size of a stable set: the maximum clique of the complement
+    by MCQ, which splits the candidates into cliques of ``g``, branches in
+    decreasing class number and cuts a node once size + class number <= best."""
     _check_cap(g.n, cap, DEFAULT_CAP_N, SOLVER_CAP)
     return _alpha(g)
 
@@ -187,7 +186,7 @@ def _omega(g: Graph) -> StableSetFamily:
             results.append(frozenset(chosen))
             return
         while cand:
-            if size + _clique_cover_bound(adj, cand) < alpha:
+            if size + len(_clique_partition(adj, cand)) < alpha:
                 return
             b = cand & -cand
             cand ^= b

@@ -6,13 +6,17 @@ from hypothesis import given, settings
 from squarestable.errors import CapExceededError
 from squarestable.generate import (
     complete_graph,
+    corona_with_k1,
     cycle_graph,
     path_graph,
     random_connected_graph,
+    random_tree,
     star_graph,
 )
-from squarestable.graphs import Graph, bit_indices, is_clique, is_stable_set, square
+from squarestable.graphs import Graph, bit_indices, induced_subgraph, is_clique, is_stable_set, square
 from squarestable.solvers import (
+    _alpha_mask,
+    _clique_partition,
     clique_cover,
     clique_cover_number,
     domination_number,
@@ -65,6 +69,83 @@ def test_witness_is_stable_maximum_and_lex_minimal(g):
     assert is_stable_set(g, w)
     assert len(w) == stability_number(g)
     assert sorted(w) == min((sorted(s) for s in oracle_omega(g)), default=[])
+
+
+def test_stability_number_matches_networkx_at_scale():
+    # alpha(G) is the clique number of the complement; networkx's own
+    # branch-and-bound shares no code with the package
+    nx = pytest.importorskip("networkx")
+    inputs = [cycle_graph(50), random_tree(64, 1), corona_with_k1(random_connected_graph(24, 0))]
+    for n in (24, 36, 48):
+        for s in range(10):
+            g = random_connected_graph(n, s)
+            inputs += [g, square(g)]
+    for g in inputs:
+        co = _complement(g)
+        h = nx.Graph()
+        h.add_nodes_from(range(g.n))
+        h.add_edges_from(co.edges())
+        assert stability_number(g) == nx.max_weight_clique(h, weight=None)[1]
+
+
+def test_masked_stability_number_matches_oracle():
+    # the masked calls of classify: alpha of G - v, of G - N[u] - N[v], and
+    # of random induced subgraphs
+    rng = random.Random(7)
+    for _ in range(150):
+        g = random_graph(rng, rng.randint(1, 12), rng.random())
+        for h in (g, square(g)):
+            full = h.full_mask()
+            masks = [full & ~(1 << rng.randrange(h.n))] + [rng.getrandbits(h.n) for _ in range(3)]
+            masks += [full & ~(h.adj[u] | h.adj[v]) for u, v in list(h.edges())[:2]]
+            for m in masks:
+                sub, _ = induced_subgraph(h, bit_indices(m))
+                assert _alpha_mask(h.adj, m) == oracle_alpha(sub)
+
+
+def _degree_branching_alpha(adj: tuple[int, ...], mask: int) -> int:
+    # the search it replaced: two-way branching on a vertex of maximum degree
+    # among the candidates, bounded by a greedy clique partition rebuilt at
+    # every node
+    best = 0
+
+    def rec(cand: int, size: int) -> None:
+        nonlocal best
+        best = max(best, size)
+        if not cand or size + _first_fit_clique_count(adj, cand) <= best:
+            return
+        v = max(bit_indices(cand), key=lambda w: ((adj[w] & cand).bit_count(), -w))
+        rec(cand & ~adj[v] & ~(1 << v), size + 1)
+        rec(cand & ~(1 << v), size)
+
+    rec(mask, 0)
+    return best
+
+
+def _first_fit_clique_count(adj: tuple[int, ...], cand: int) -> int:
+    # the bound it replaced: each vertex in turn joins the first clique that
+    # it is adjacent to throughout
+    cliques: list[int] = []
+    for v in bit_indices(cand):
+        for i, cl in enumerate(cliques):
+            if cl & ~adj[v] == 0:
+                cliques[i] = cl | 1 << v
+                break
+        else:
+            cliques.append(1 << v)
+    return len(cliques)
+
+
+def test_stability_number_matches_the_search_it_replaced():
+    # the class count is also Omega's bound, so its counts must equal the
+    # first-fit bound's for Omega's order and cost to stay as they were
+    rng = random.Random(2003)
+    for _ in range(200):
+        g = random_graph(rng, rng.randint(0, 16), rng.random())
+        for h in (g, square(g)):
+            for m in (h.full_mask(), rng.getrandbits(h.n)):
+                assert _alpha_mask(h.adj, m) == _degree_branching_alpha(h.adj, m)
+                assert len(_clique_partition(h.adj, m)) == _first_fit_clique_count(h.adj, m)
 
 
 # ---------------------------------------------------------------------------
