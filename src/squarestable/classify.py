@@ -32,6 +32,7 @@ from .graphs import (
     isolated_vertices,
     mask_of,
     pendant_vertices,
+    set_of,
     square,
     stable_subsets,
 )
@@ -39,10 +40,10 @@ from .matchings import matching_number, pendant_perfect_matching
 from .solvers import (
     DEFAULT_CAP_OMEGA,
     OMEGA_CAP,
+    _alpha,
     _alpha_mask,
     _check_cap,
-    enumerate_maximal_cliques,
-    enumerate_maximal_stable_sets,
+    _idom,
     maximum_stable_set,
     stability_number,
 )
@@ -120,11 +121,12 @@ def square_stable_witness(g: Graph, cap=None):
 
 def is_well_covered(g: Graph, cap=None) -> bool:
     """True iff there are no isolated vertices and every maximal stable set
-    is maximum."""
+    is maximum: the smallest maximal stable set, the independent domination
+    number, has alpha vertices."""
     if isolated_vertices(g):
         return False
-    sizes = {len(s) for s in enumerate_maximal_stable_sets(g, cap)}
-    return len(sizes) <= 1
+    _check_cap(g.n, cap, DEFAULT_CAP_OMEGA, OMEGA_CAP)
+    return _idom(g) == _alpha(g)
 
 
 def well_covered_counterexample(g: Graph, cap=None):
@@ -137,12 +139,48 @@ def well_covered_counterexample(g: Graph, cap=None):
     iso = isolated_vertices(g)
     if iso:
         return ("isolated_vertex", min(iso))
-    sets = enumerate_maximal_stable_sets(g, cap)
-    alpha = max(len(s) for s in sets)
-    for s in sets:
-        if len(s) < alpha:
-            return ("non_maximum_maximal", s)
-    return None
+    _check_cap(g.n, cap, DEFAULT_CAP_OMEGA, OMEGA_CAP)
+    if _idom(g) == _alpha(g):
+        return None
+    return ("non_maximum_maximal", _least_small_maximal_stable_set(g, _alpha(g)))
+
+
+def _least_small_maximal_stable_set(g: Graph, alpha: int) -> frozenset[int]:
+    # Depth-first over stable sets built as increasing vertex lists, children
+    # in increasing order, so the first maximal set reached is the least.  A
+    # node is cut when a vertex below its last member that no member
+    # dominates has no neighbour among the candidates left, or when one more
+    # member would reach alpha.  Called only when some maximal stable set is
+    # smaller.
+    adj = g.adj
+    chosen: list[int] = []
+
+    def rec(undominated: int, cand: int) -> bool:
+        # cand: the undominated vertices above the last member
+        skipped = undominated & ~cand
+        while skipped:
+            b = skipped & -skipped
+            if not adj[b.bit_length() - 1] & cand:
+                return False
+            skipped ^= b
+        if not undominated:
+            return True
+        if len(chosen) + 1 >= alpha:
+            return False
+        while cand:
+            b = cand & -cand
+            cand ^= b
+            v = b.bit_length() - 1
+            chosen.append(v)
+            if rec(undominated & ~adj[v] & ~b, cand & ~adj[v]):
+                return True
+            chosen.pop()
+        return False
+
+    full = g.full_mask()
+    if not rec(full, full):
+        raise InternalCheckError("no maximal stable set below alpha, though idom < alpha")
+    return frozenset(chosen)
 
 
 def is_very_well_covered(g: Graph, cap=None) -> bool:
@@ -190,20 +228,27 @@ def simplicial_vertices(g: Graph) -> frozenset[int]:
 
 
 def simplexes(g: Graph) -> list[Simplex]:
-    """Every maximal clique that contains at least one simplicial vertex."""
-    simp = simplicial_vertices(g)
-    out = []
-    for clique in enumerate_maximal_cliques(g):
-        members = clique & simp
-        if members:
-            out.append(Simplex(clique, members))
-    return out
+    """Every maximal clique that contains at least one simplicial vertex,
+    sorted.
+
+    The closed neighbourhood N[v] of a simplicial vertex v is a clique that
+    holds every clique through v, so it is the one maximal clique containing
+    v: the simplexes are the distinct N[v].
+    """
+    simp = mask_of(simplicial_vertices(g))
+    cliques = {g.adj[v] | 1 << v for v in bit_indices(simp)}
+    return sorted(
+        (Simplex(set_of(c), set_of(c & simp)) for c in cliques), key=lambda s: sorted(s.clique))
 
 
 def simplex_partition_check(g: Graph) -> bool:
     """True iff every vertex lies in exactly one simplex."""
-    counts = [0] * g.n
-    for s in simplexes(g):
+    return _covers_each_vertex_once(g.n, simplexes(g))
+
+
+def _covers_each_vertex_once(n: int, simps: list[Simplex]) -> bool:
+    counts = [0] * n
+    for s in simps:
         for v in s.clique:
             counts[v] += 1
     return all(c == 1 for c in counts)
@@ -410,9 +455,10 @@ def classify(g: Graph, cap=None, cap_omega=None) -> ClassificationReport:
     ppm = pendant_perfect_matching(g)
     if ppm is not None:
         witnesses["pendant_perfect_matching"] = sorted(ppm)
+    simps = simplexes(g)
     witnesses["simplexes"] = [
         {"clique": sorted(s.clique), "simplicial": sorted(s.simplicial_members)}
-        for s in simplexes(g)
+        for s in simps
     ]
 
     report = ClassificationReport(
@@ -422,7 +468,7 @@ def classify(g: Graph, cap=None, cap_omega=None) -> ClassificationReport:
         koenig_egervary=ke,
         simplicial_graph=is_simplicial_graph(g),
         chordal=is_chordal(g),
-        simplex_partition=simplex_partition_check(g),
+        simplex_partition=_covers_each_vertex_once(g.n, simps),
         alpha_minus=aminus,
         alpha_plus_class=_CLASS_BY_CORE_SIZE[min(len(core), 2)],
         omega_matroid=omega_is_matroid(g, cap_omega),

@@ -10,6 +10,7 @@ so the tool composes in shell pipelines.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -289,7 +290,10 @@ def cmd_canonical(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    # Built once per process: each parse_args call starts a fresh namespace,
+    # so nothing of one command line carries into the next.
     parser = argparse.ArgumentParser(
         prog="squarestable",
         description="Exact invariants and square-stability analysis for small graphs.",

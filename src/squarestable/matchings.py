@@ -1,7 +1,8 @@
 """Maximum matchings and matching-shaped queries.
 
 The maximum-matching core is an augmenting-path search with blossom
-contraction, so it is exact on general graphs.  On top of it sit the
+contraction, so it is exact on general graphs; the matching of a graph is
+computed once and kept in the per-graph store.  On top of it sit the
 perfect-matching uniqueness test, the forced pendant-edge matching, the
 induced-matching predicate, and the "match A into S" counting queries used
 by the maximum-stable-set characterisations.
@@ -13,7 +14,7 @@ import enum
 from collections import deque
 from typing import Iterable, Optional
 
-from .graphs import Graph, bit_indices, mask_of
+from .graphs import Graph, _store, bit_indices, mask_of
 
 #: A matching is a frozenset of (u, v) edges with u < v, pairwise non-incident.
 Matching = frozenset
@@ -29,7 +30,12 @@ def _normalize(u: int, v: int) -> tuple[int, int]:
 
 
 def maximum_matching(g: Graph) -> Matching:
-    """A maximum matching of ``g``."""
+    """A maximum matching of ``g``, computed once per graph."""
+    return _maximum_matching(g)
+
+
+@_store
+def _maximum_matching(g: Graph) -> Matching:
     n = g.n
     adj = [bit_indices(m) for m in g.adj]
     match = [-1] * n

@@ -7,20 +7,25 @@ families.  The stability number is MCQ (Tomita & Seki 2003) on the
 complement, with the bitset clique classes of BBMC (San Segundo et al. 2011);
 their count also bounds the enumeration of maximum stable sets.  The clique
 cover is a DSATUR colouring of the complement, stopped as soon as it meets
-the stability number; domination branches on the uncovered vertex with the
+the stability number.  Domination branches on the uncovered vertex with the
 fewest dominators and is bounded by the fewest largest gains that can cover
-the rest.  Two caps guard against accidental blow-ups: a hard solver cap
-(default 64) and a family-enumeration cap (default 24, since the number of
-maximum stable sets can be exponential even when the number itself is easy).
+the rest; the independent domination number (the smallest maximal stable
+set) is the same search with every choice drawn from the uncovered
+vertices, so it enumerates nothing.  Two caps guard against accidental
+blow-ups: a hard solver cap (default 64) and a family-enumeration cap
+(default 24, since the number of maximum stable sets can be exponential
+even when the number itself is easy), which the independent domination
+number also keeps.
 
 Each value is computed once per graph.  A cap-free private helper computes
 it and keeps it for the last few graphs asked about, in a bounded store
-(``graphs._store``, which also keeps ``square``): the stability number, the
-lexicographically least maximum stable set, the family of maximum stable
-sets, the family of maximal stable sets, the domination number and the
-minimum clique cover.  Each public function checks its cap before it reads
-the store, so a refused call is refused again every time, and hands out a
-fresh copy of a stored list.
+(``graphs._store``, which also keeps ``square`` and the maximum matching):
+the stability number, the lexicographically least maximum stable set, the
+family of maximum stable sets, the family of maximal stable sets, the
+domination and independent domination numbers and the minimum clique
+cover.  Each public function checks its cap before it reads the store, so a
+refused call is refused again every time, and hands out a fresh copy of a
+stored list.
 """
 
 from __future__ import annotations
@@ -202,11 +207,6 @@ def _omega(g: Graph) -> StableSetFamily:
     return StableSetFamily(tuple(results), core)
 
 
-def enumerate_maximal_cliques(g: Graph) -> list[frozenset[int]]:
-    """All inclusion-maximal cliques (pivoted Bron-Kerbosch), sorted."""
-    return sorted((set_of(m) for m in _bron_kerbosch(g.adj, g.full_mask())), key=sorted)
-
-
 def enumerate_maximal_stable_sets(g: Graph, cap=None) -> list[frozenset[int]]:
     """All inclusion-maximal stable sets, each exactly once, sorted."""
     _check_cap(g.n, cap, DEFAULT_CAP_OMEGA, OMEGA_CAP)
@@ -259,9 +259,10 @@ def _bron_kerbosch(adj: tuple[int, ...], full: int) -> list[int]:
 
 
 def independent_domination_number(g: Graph, cap=None) -> int:
-    """Minimum cardinality of a maximal stable set."""
-    sets = enumerate_maximal_stable_sets(g, cap)
-    return min(len(s) for s in sets)
+    """Minimum cardinality of a maximal stable set: the domination search of
+    ``domination_number`` restricted to choices that keep the set stable."""
+    _check_cap(g.n, cap, DEFAULT_CAP_OMEGA, OMEGA_CAP)
+    return _idom(g)
 
 
 def domination_number(g: Graph, cap=None) -> int:
@@ -279,19 +280,32 @@ def domination_number(g: Graph, cap=None) -> int:
 
 @_store
 def _gamma(g: Graph) -> int:
+    return _domination_search(g, independent=False)
+
+
+@_store
+def _idom(g: Graph) -> int:
+    return _domination_search(g, independent=True)
+
+
+def _domination_search(g: Graph, independent: bool) -> int:
+    # An independent dominating set is one whose every member was uncovered
+    # when it was chosen, so in that case the greedy picks, the gains bound
+    # and the branching choices all range over the uncovered vertices only.
     n = g.n
     if n == 0:
         return 0
     closed = tuple(m | (1 << v) for v, m in enumerate(g.adj))
     full = g.full_mask()
-    branch_order = sorted(range(n), key=lambda v: (closed[v].bit_count(), v))
+    vertices = range(n)
+    branch_order = sorted(vertices, key=lambda v: (closed[v].bit_count(), v))
 
     # greedy cover for the initial upper bound
     best = 0
     uncovered = full
     while uncovered:
         gain, pick = -1, 0
-        for v in range(n):
+        for v in bit_indices(uncovered) if independent else vertices:
             c = (closed[v] & uncovered).bit_count()
             if c > gain:
                 gain, pick = c, v
@@ -304,10 +318,11 @@ def _gamma(g: Graph) -> int:
             if size < best:
                 best = size
             return
+        pool = bit_indices(uncovered) if independent else vertices
         # the fewest vertices whose largest gains add up to the uncovered count
         left = uncovered.bit_count()
         need = size
-        for c in sorted(((closed[v] & uncovered).bit_count() for v in range(n)), reverse=True):
+        for c in sorted(((closed[v] & uncovered).bit_count() for v in pool), reverse=True):
             need += 1
             left -= c
             if left <= 0 or need >= best:
@@ -315,7 +330,8 @@ def _gamma(g: Graph) -> int:
         if need >= best:
             return
         v = next(v for v in branch_order if uncovered >> v & 1)
-        for u in sorted(bit_indices(closed[v]), key=lambda u: -(closed[u] & uncovered).bit_count()):
+        choices = closed[v] & uncovered if independent else closed[v]
+        for u in sorted(bit_indices(choices), key=lambda u: -(closed[u] & uncovered).bit_count()):
             rec(uncovered & ~closed[u], size + 1)
 
     rec(full, 0)

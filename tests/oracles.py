@@ -4,11 +4,12 @@ Everything here is a direct transcription of a definition: subset scans,
 subset-DP, Floyd-Warshall.  Slow on purpose; used only to cross-check the
 real solvers on small graphs.
 
-The definitional routes of the class predicates at the end are the
+Most definitional routes of the class predicates at the end are the
 exception: they read the library's exact alpha, its family of maximum
 stable sets and its matching counter on edited graphs and stable subsets,
 so they are independent of the characterisations that ``classify``
-computes, not of the solvers.
+computes, not of the solvers.  The simplexes by maximal cliques read only
+the adjacency.
 """
 
 from functools import lru_cache
@@ -295,3 +296,28 @@ def p1_by_stable_subsets(g: Graph, s) -> bool:
         _count_matchings_into(g, amask, smask, 2)[0] == 1
         for amask in stable_subsets(g, g.full_mask() & ~smask) if amask
     )
+
+
+def simplexes_by_maximal_cliques(g: Graph) -> list[tuple[frozenset, frozenset]]:
+    """Every maximal clique that holds a simplicial vertex, with those
+    vertices, sorted by clique: the maximal cliques come from a plain
+    Bron-Kerbosch search, and a vertex is simplicial when its neighbourhood
+    is a clique."""
+    cliques = []
+
+    def bk(r: int, p: int, x: int) -> None:
+        if not p and not x:
+            cliques.append(r)
+            return
+        for v in bit_indices(p):
+            bk(r | 1 << v, p & g.adj[v], x & g.adj[v])
+            p &= ~(1 << v)
+            x |= 1 << v
+
+    bk(0, g.full_mask(), 0)
+    simplicial = mask_of(v for v in range(g.n) if _is_clique_mask(g, g.adj[v]))
+    out = [
+        (frozenset(bit_indices(c)), frozenset(bit_indices(c & simplicial)))
+        for c in cliques if c & simplicial
+    ]
+    return sorted(out, key=lambda pair: sorted(pair[0]))

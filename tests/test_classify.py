@@ -24,6 +24,7 @@ from squarestable.classify import (
     square_stable_witness,
     well_covered_counterexample,
 )
+from squarestable.errors import CapExceededError
 from squarestable.generate import (
     complete_graph,
     corona_with_k1,
@@ -35,14 +36,15 @@ from squarestable.generate import (
     sample_corpus,
     star_graph,
 )
-from squarestable.graphs import Graph, distance_matrix, square
-from squarestable.solvers import enumerate_maximum_stable_sets
+from squarestable.graphs import Graph, distance_matrix, isolated_vertices, square
+from squarestable.solvers import enumerate_maximal_stable_sets, enumerate_maximum_stable_sets
 from oracles import (
     alpha_minus_by_edge_deletion,
     alpha_minus_by_omega_neighbourhoods,
     alpha_plus_by_edge_addition,
     omega_core_by_intersection,
     p1_by_stable_subsets,
+    simplexes_by_maximal_cliques,
 )
 from strategies import graphs
 
@@ -94,6 +96,40 @@ def test_well_covered_isolated_vertex_reported_distinctly():
     assert not is_well_covered(complete_graph(1))
 
 
+def _counterexample_by_enumeration(g, cap):
+    # the route the search replaced: the first maximal stable set, in sorted
+    # order, that is smaller than the largest
+    iso = isolated_vertices(g)
+    if iso:
+        return ("isolated_vertex", min(iso))
+    sets = enumerate_maximal_stable_sets(g, cap)
+    alpha = max(len(s) for s in sets)
+    return next((("non_maximum_maximal", s) for s in sets if len(s) < alpha), None)
+
+
+def test_well_covered_counterexample_matches_the_enumeration_route():
+    corpus = list(enumerate_corpus(7, connected_only=False)) + list(sample_corpus(300, 14, 6))
+    kinds = {}
+    for g in corpus:
+        for h in (g, square(g), corona_with_k1(g)):
+            expected = _counterexample_by_enumeration(h, 28)
+            assert well_covered_counterexample(h, 28) == expected, h
+            assert is_well_covered(h, 28) == (expected is None), h
+            kind = expected and expected[0]
+            kinds[kind] = kinds.get(kind, 0) + 1
+    assert min(kinds.values()) > 100, kinds  # each outcome is well represented
+
+
+def test_well_covered_checks_the_enumeration_cap_after_isolated_vertices():
+    g = cycle_graph(30)
+    for predicate in (is_well_covered, well_covered_counterexample):
+        with pytest.raises(CapExceededError, match=r"enumeration cap exceeded \(30 > 24\)"):
+            predicate(g)
+    isolated = Graph.from_edges(30, [(u, u + 1) for u in range(28)])
+    assert is_well_covered(isolated) is False
+    assert well_covered_counterexample(isolated) == ("isolated_vertex", 29)
+
+
 def test_very_well_covered_examples():
     assert is_very_well_covered(cycle_graph(4))
     assert not is_very_well_covered(named_fixture("fig_ss_not_vwc"))
@@ -138,6 +174,13 @@ def test_simplexes_examples():
     kn = simplexes(complete_graph(5))
     assert len(kn) == 1 and kn[0].clique == frozenset(range(5))
     assert simplexes(cycle_graph(5)) == []
+
+
+def test_simplexes_match_maximal_cliques():
+    corpus = list(enumerate_corpus(7, connected_only=False)) + list(sample_corpus(300, 14, 7, False))
+    for g in corpus:
+        found = [(s.clique, s.simplicial_members) for s in simplexes(g)]
+        assert found == simplexes_by_maximal_cliques(g), g
 
 
 def test_simplex_partition_examples():

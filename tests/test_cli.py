@@ -7,9 +7,11 @@ from pathlib import Path
 from squarestable import cli
 from squarestable.generate import (
     canonical_graph6,
+    corona_with_k1,
     cycle_graph,
     named_fixture,
     random_connected_graph,
+    random_tree,
 )
 from squarestable.graphs import format_edge_list, parse_edge_list, parse_graph6, to_graph6
 
@@ -238,6 +240,37 @@ def test_python_dash_m_runs_the_cli():
     assert proc.stdout == to_graph6(cycle_graph(5)) + "\n"
 
 
+def test_one_parser_serves_every_command_of_a_process(capsys, tmp_path, monkeypatch):
+    # The parser is built once per process; each command line must still see
+    # only its own options and print what a fresh process prints.  COLUMNS
+    # fixes the width argparse wraps its usage message to, in both.
+    monkeypatch.setenv("COLUMNS", "80")
+    src = Path(cli.__file__).resolve().parents[1]
+    path = tmp_path / "c5.g6"
+    path.write_text(to_graph6(cycle_graph(5)) + "\n")
+    runs = [
+        ("analyze", "--omega", "--square", str(path)),
+        ("analyze", str(path)),
+        ("analyze", "--no-such-flag", str(path)),
+        ("verify", "--fixtures"),
+    ]
+    results = []
+    for argv in runs:
+        result = run_cli(capsys, *argv)
+        proc = subprocess.run(
+            [sys.executable, "-m", "squarestable", *argv],
+            capture_output=True, text=True, timeout=120,
+            env=dict(os.environ, PYTHONPATH=str(src)),
+        )
+        assert result == (proc.returncode, proc.stdout, proc.stderr), argv
+        results.append(result)
+    assert {"omega", "square"} <= json.loads(results[0][1]).keys()
+    plain = json.loads(results[1][1])
+    assert "omega" not in plain and "square" not in plain
+    assert results[2][0] == 2 and "--no-such-flag" in results[2][2]
+    assert results[3][0] == 0
+
+
 def test_generate_named_and_corona(capsys):
     code, out, err = run_cli(capsys, "generate", "named", "diamond")
     assert code == 0
@@ -347,3 +380,24 @@ def test_analyze_report_is_pinned(capsys, tmp_path):
     assert code == 0, err
     assert hashlib.sha256(out.encode()).hexdigest() == (
         "d6a9240d1ce6837d3a6084d5481a762826dce60dfb2664ac61efc7775fe5e31a")
+
+
+def test_plain_and_text_analyze_reports_are_pinned(capsys, tmp_path):
+    import hashlib
+
+    # Random trees and random connected graphs, which report the least
+    # maximal stable set below alpha as their well-coveredness failure, and
+    # coronas of cycles, which are well-covered.
+    graphs = ([random_tree(n, s) for n in (6, 12, 18, 24) for s in range(3)]
+              + [corona_with_k1(cycle_graph(k)) for k in (3, 5, 8, 12)]
+              + [random_connected_graph(n, s) for n in (8, 14, 20, 24) for s in range(3)])
+    path = tmp_path / "mixed.g6"
+    path.write_text("".join(to_graph6(g) + "\n" for g in graphs))
+    pinned = {
+        (): "2ab5ea31cc875fecb31a9ddfae13043c9cdc4ea0a4db2ca62a567671a16ce4fd",
+        ("--text",): "5d9e9c08d90fcbf6fba69651ec14f78f7fcfb9e213cd330b64759fec93a3f411",
+    }
+    for flags, digest in pinned.items():
+        code, out, err = run_cli(capsys, "analyze", *flags, str(path))
+        assert code == 0, err
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, flags

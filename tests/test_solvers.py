@@ -218,6 +218,26 @@ def test_independent_domination_examples():
     assert independent_domination_number(path_graph(4)) == 2
 
 
+def test_independent_domination_matches_oracle_on_graphs_and_squares():
+    rng = random.Random(8128)
+    for _ in range(150):
+        g = random_graph(rng, rng.randint(0, 12), rng.random())
+        for h in (g, square(g)):
+            assert independent_domination_number(h) == oracle_idom(h), h
+
+
+def test_independent_domination_is_the_smallest_maximal_stable_set():
+    # the restricted domination search against the enumeration it replaced
+    rng = random.Random(496)
+    inputs = [random_connected_graph(n, s) for n in range(1, 21) for s in range(4)]
+    inputs += [random_tree(n, s) for n in range(2, 21) for s in range(2)]
+    inputs += [random_graph(rng, rng.randint(0, 20), rng.random()) for _ in range(60)]
+    for g in inputs:
+        for h in (g, square(g)):
+            smallest = min(len(s) for s in enumerate_maximal_stable_sets(h))
+            assert independent_domination_number(h) == smallest, h
+
+
 def test_clique_cover_examples():
     assert clique_cover_number(complete_graph(6)) == 1
     assert clique_cover_number(cycle_graph(5)) == 3
