@@ -215,6 +215,10 @@ def _corpus_from_args(args) -> tuple[list[tuple[str, Graph]], dict, bool]:
     if args.sample is not None:
         if args.seed is None:
             raise ParseError("--sample requires --seed")
+        if args.sample < 1:
+            raise ParseError(f"--sample must be at least 1, got {args.sample}")
+        if args.max_n < 1:
+            raise ParseError(f"--max-n must be at least 1, got {args.max_n}")
         items = [
             (f"{to_graph6(g)}", g)
             for g in sample_corpus(args.sample, args.max_n, args.seed,
@@ -249,6 +253,8 @@ def cmd_verify(args) -> int:
     suites = SUITE_NAMES if args.suite in (None, "all") else tuple(
         s.strip() for s in args.suite.split(",") if s.strip()
     )
+    if not suites:
+        raise ParseError(f"--suite names no suite: {args.suite!r}")
     items, meta, default_details = _corpus_from_args(args)
     keep_details = args.details or default_details
     report = run_suite(

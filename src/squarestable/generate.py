@@ -327,6 +327,8 @@ def enumerate_corpus(max_n: int, connected_only: bool = True) -> Iterator[Graph]
 
 def sample_corpus(count: int, max_n: int, seed: int, connected_only: bool = True) -> Iterator[Graph]:
     """A seeded stream of ``count`` random graphs with 1..max_n vertices."""
+    if max_n < 1:
+        raise ValueError("max_n must be at least 1")
     rng = random.Random(seed)
     for _ in range(count):
         n = rng.randint(1, max_n)

@@ -8,10 +8,14 @@ complement, with the bitset clique classes of BBMC (San Segundo et al. 2011);
 their count also bounds the enumeration of maximum stable sets.  The clique
 cover is a DSATUR colouring of the complement, stopped as soon as it meets
 the stability number.  Domination branches on the uncovered vertex with the
-fewest dominators and is bounded by the fewest largest gains that can cover
+fewest dominators, skips a dominator whose gain on the uncovered set lies
+inside that of one tried before it (the subsumption rule of van Rooij &
+Bodlaender 2011), and is bounded by the fewest largest gains that can cover
 the rest; the independent domination number (the smallest maximal stable
 set) is the same search with every choice drawn from the uncovered
-vertices, so it enumerates nothing.  Two caps guard against accidental
+vertices, so it enumerates nothing.  It tries every such choice, since
+swapping one member for a dominator that subsumes it may break
+independence.  Two caps guard against accidental
 blow-ups: a hard solver cap (default 64) and a family-enumeration cap
 (default 24, since the number of maximum stable sets can be exponential
 even when the number itself is easy), which the independent domination
@@ -270,9 +274,13 @@ def domination_number(g: Graph, cap=None) -> int:
 
     Branch-and-bound: branch on the uncovered vertex with the fewest
     dominators (the smallest closed neighbourhood), trying its dominators in
-    decreasing order of their gain on the uncovered set.  A node is pruned
-    when even the largest gains need too many further vertices to cover what
-    is left.
+    decreasing order of their gain on the uncovered set.  A dominator whose
+    gain lies inside the gain of one tried before it is skipped: any
+    dominating set through it stays dominating, and no larger, when that one
+    replaces it.  A node is pruned when even the largest gains need too many
+    further vertices to cover what is left.  ``independent_domination_number``
+    runs the same search without the skip, since the replacement may be
+    adjacent to a later member.
     """
     _check_cap(g.n, cap, DEFAULT_CAP_N, SOLVER_CAP)
     return _gamma(g)
@@ -322,7 +330,7 @@ def _domination_search(g: Graph, independent: bool) -> int:
         # the fewest vertices whose largest gains add up to the uncovered count
         left = uncovered.bit_count()
         need = size
-        for c in sorted(((closed[v] & uncovered).bit_count() for v in pool), reverse=True):
+        for c in sorted([(closed[v] & uncovered).bit_count() for v in pool], reverse=True):
             need += 1
             left -= c
             if left <= 0 or need >= best:
@@ -330,12 +338,27 @@ def _domination_search(g: Graph, independent: bool) -> int:
         if need >= best:
             return
         v = next(v for v in branch_order if uncovered >> v & 1)
+        # gamma skips a dominator whose gain lies inside the gain of one
+        # tried before it (see domination_number); idom cannot, since that
+        # swap may break independence
         choices = closed[v] & uncovered if independent else closed[v]
-        for u in sorted(bit_indices(choices), key=lambda u: -(closed[u] & uncovered).bit_count()):
-            rec(uncovered & ~closed[u], size + 1)
+        kept: list[int] = []
+        for m in sorted((closed[u] & uncovered for u in bit_indices(choices)),
+                        key=lambda m: -m.bit_count()):
+            if independent or all(m & ~k for k in kept):
+                kept.append(m)
+                rec(uncovered & ~m, size + 1)
 
     rec(full, 0)
     return best
+
+
+def _raised(levels: list[int], inc: int) -> list[int]:
+    # each vertex of inc gains a neighbour in one more class, so it moves up
+    # one level; the list is returned as it is when no vertex moves
+    if not inc:
+        return levels
+    return [levels[0] & ~inc] + [hi & ~inc | lo & inc for lo, hi in zip(levels, levels[1:])]
 
 
 def _exact_coloring(adj: tuple[int, ...], n: int, clique_number) -> list[int]:
@@ -375,13 +398,11 @@ def _exact_coloring(adj: tuple[int, ...], n: int, clique_number) -> list[int]:
     classes: list[int] = []
     reach: list[int] = []  # reach[i]: the vertices adjacent to classes[i]
 
-    def raised(levels: list[int], inc: int) -> list[int]:
-        return [levels[0] & ~inc] + [hi & ~inc | lo & inc for lo, hi in zip(levels, levels[1:])]
-
     def rec(uncoloured: int, levels: list[int]) -> None:
         # DSATUR: colour next the vertex whose neighbours already use the most
-        # distinct colours, ties broken by its degree among the uncoloured;
-        # levels[s] holds the vertices with neighbours in exactly s classes
+        # distinct colours, ties broken by its degree among the uncoloured,
+        # then by the lowest index; levels[s] holds the uncoloured vertices
+        # with neighbours in exactly s classes
         nonlocal best, best_k
         if len(classes) >= best_k:
             return
@@ -389,23 +410,38 @@ def _exact_coloring(adj: tuple[int, ...], n: int, clique_number) -> list[int]:
             best = classes.copy()
             best_k = len(classes)
             return
-        top = next(m & uncoloured for m in reversed(levels) if m & uncoloured)
-        v = max(bit_indices(top), key=lambda w: ((adj[w] & uncoloured).bit_count(), -w))
+        s = len(levels) - 1
+        while not levels[s]:
+            s -= 1
+        top = levels[s]
+        if top & (top - 1):
+            v, most = -1, -1
+            while top:
+                b = top & -top
+                top ^= b
+                w = b.bit_length() - 1
+                d = (adj[w] & uncoloured).bit_count()
+                if d > most:
+                    v, most = w, d
+        else:
+            v = top.bit_length() - 1
         bit = 1 << v
+        levels = levels.copy()
+        levels[s] &= ~bit
         rest = uncoloured & ~bit
         av = adj[v]
         for i, cl in enumerate(classes):
             if cl & av == 0:
                 r = reach[i]
                 classes[i], reach[i] = cl | bit, r | av
-                rec(rest, raised(levels, av & rest & ~r))
+                rec(rest, _raised(levels, av & rest & ~r))
                 classes[i], reach[i] = cl, r
                 if best_k == lower:
                     return
         if len(classes) + 1 < best_k:
             classes.append(bit)
             reach.append(av)
-            rec(rest, raised(levels + [0], av & rest))
+            rec(rest, _raised(levels + [0], av & rest))
             classes.pop()
             reach.pop()
 
@@ -447,8 +483,12 @@ def invariant_chain(g: Graph, cap=None, cap_omega=None) -> InvariantRecord:
 
     The ordering alpha_sq <= theta_sq <= gamma <= idom <= alpha <= theta is
     asserted before returning; a violation is a solver bug and raises
-    :class:`InternalCheckError` rather than returning silently.
+    :class:`InternalCheckError` rather than returning silently.  Both caps
+    are checked before any search, in the order the searches meet them, so
+    a refusal costs nothing.
     """
+    _check_cap(g.n, cap, DEFAULT_CAP_N, SOLVER_CAP)
+    _check_cap(g.n, cap_omega, DEFAULT_CAP_OMEGA, OMEGA_CAP)
     sq = square(g)
     record = InvariantRecord(
         alpha=stability_number(g, cap),

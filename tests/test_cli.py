@@ -4,7 +4,7 @@ import subprocess
 import sys
 from pathlib import Path
 
-from squarestable import cli
+from squarestable import cli, graphs, solvers
 from squarestable.generate import (
     canonical_graph6,
     corona_with_k1,
@@ -82,6 +82,21 @@ def test_analyze_cap_refusal_names_the_cap(capsys, tmp_path):
     path.write_text(to_graph6(cycle_graph(12)) + "\n")
     code, out, err = run_cli(capsys, "analyze", str(path), "--cap-n", "5")
     assert code == 3 and "cap" in err
+
+
+def test_analyze_refuses_before_any_search(capsys, tmp_path):
+    # n = 48 is under the solver cap and over the enumeration cap, which
+    # independent domination keeps: the refusal comes before alpha, theta and
+    # gamma are searched for
+    g = corona_with_k1(random_connected_graph(24, 2))
+    path = tmp_path / "corona.g6"
+    path.write_text(to_graph6(g) + "\n")
+    helpers = (graphs._square, solvers._alpha, solvers._least_maximum_stable_set, solvers._omega,
+               solvers._maximal_stable_sets, solvers._gamma, solvers._idom, solvers._cover)
+    misses = [h.cache_info().misses for h in helpers]
+    code, out, err = run_cli(capsys, "analyze", str(path))
+    assert (code, out, err) == (3, "", "error: stable-set enumeration cap exceeded (48 > 24)\n")
+    assert [h.cache_info().misses for h in helpers] == misses
 
 
 def test_analyze_env_cap(capsys, tmp_path, monkeypatch):
@@ -172,6 +187,21 @@ def test_verify_sample_requires_seed(capsys):
 def test_verify_unknown_suite(capsys):
     code, out, err = run_cli(capsys, "verify", "--fixtures", "--suite", "bogus")
     assert code == 2
+
+
+def test_verify_suite_list_naming_no_suite_is_an_error(capsys):
+    code, out, err = run_cli(capsys, "verify", "--fixtures", "--suite", ",")
+    assert code == 2 and "--suite" in err and out == ""
+
+
+def test_verify_negative_sample_is_an_error(capsys):
+    code, out, err = run_cli(capsys, "verify", "--sample", "-3", "--seed", "1")
+    assert code == 2 and "--sample must be at least 1" in err and out == ""
+
+
+def test_verify_sample_max_n_below_one_is_an_error(capsys):
+    code, out, err = run_cli(capsys, "verify", "--sample", "5", "--seed", "1", "--max-n", "0")
+    assert code == 2 and "--max-n must be at least 1" in err and out == ""
 
 
 def test_verify_reports_violations_with_exit_1(capsys, monkeypatch):

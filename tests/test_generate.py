@@ -242,6 +242,12 @@ def test_corpus_cap():
         list(enumerate_corpus(10))
 
 
+def test_corpora_need_at_least_one_vertex():
+    for corpus in (enumerate_corpus(0), sample_corpus(5, 0, seed=1)):
+        with pytest.raises(ValueError, match="max_n must be at least 1"):
+            list(corpus)
+
+
 def test_sample_corpus_is_deterministic():
     a = [to_graph6(g) for g in sample_corpus(25, 9, seed=11)]
     b = [to_graph6(g) for g in sample_corpus(25, 9, seed=11)]
