@@ -22,7 +22,6 @@ from dataclasses import dataclass, field
 from .errors import CapExceededError, InternalCheckError
 from .graphs import (
     Graph,
-    _is_stable_mask,
     bit_indices,
     components,
     induced_subgraph,
@@ -40,10 +39,9 @@ from .matchings import matching_number, pendant_perfect_matching
 from .solvers import (
     DEFAULT_CAP_OMEGA,
     OMEGA_CAP,
-    _alpha,
     _alpha_mask,
     _check_cap,
-    _idom,
+    independent_domination_number,
     maximum_stable_set,
     stability_number,
 )
@@ -125,8 +123,7 @@ def is_well_covered(g: Graph, cap=None) -> bool:
     number, has alpha vertices."""
     if isolated_vertices(g):
         return False
-    _check_cap(g.n, cap, DEFAULT_CAP_OMEGA, OMEGA_CAP)
-    return _idom(g) == _alpha(g)
+    return independent_domination_number(g, cap) == stability_number(g, cap)
 
 
 def well_covered_counterexample(g: Graph, cap=None):
@@ -139,10 +136,10 @@ def well_covered_counterexample(g: Graph, cap=None):
     iso = isolated_vertices(g)
     if iso:
         return ("isolated_vertex", min(iso))
-    _check_cap(g.n, cap, DEFAULT_CAP_OMEGA, OMEGA_CAP)
-    if _idom(g) == _alpha(g):
+    alpha = stability_number(g, cap)
+    if independent_domination_number(g, cap) == alpha:
         return None
-    return ("non_maximum_maximal", _least_small_maximal_stable_set(g, _alpha(g)))
+    return ("non_maximum_maximal", _least_small_maximal_stable_set(g, alpha))
 
 
 def _least_small_maximal_stable_set(g: Graph, alpha: int) -> frozenset[int]:
@@ -328,31 +325,20 @@ def p2_exchangeability(g: Graph, s, cap=None) -> bool:
     """True iff every non-empty stable set A disjoint from ``s`` extends by
     part of ``s`` to a maximum stable set.
 
-    The proof construction (take the part of ``s`` missed by A's
-    neighbourhood) is tried first; if it falls short, all subsets of the
-    right size are scanned.  The empty set is vacuously fine: only a proper
-    part of ``s`` would be allowed and could never reach maximum size.
+    A part of ``s`` that keeps A stable misses A's neighbourhood, so A
+    extends exactly when ``s`` has alpha - |A| vertices outside it.  The
+    empty set is vacuously fine: a proper part of ``s`` is never maximum.
     """
     smask = mask_of(s)
     rest = g.full_mask() & ~smask
     alpha = stability_number(g, cap)
-    svs = sorted(bit_indices(smask))
     for amask in stable_subsets(g, rest):
         if amask == 0:
             continue
         na = 0
         for v in bit_indices(amask):
             na |= g.adj[v]
-        need = alpha - amask.bit_count()
-        if (smask & ~na).bit_count() >= need:
-            continue
-        found = False
-        for combo in itertools.combinations(svs, need):
-            union = amask | mask_of(combo)
-            if _is_stable_mask(g, union):
-                found = True
-                break
-        if not found:
+        if amask.bit_count() + (smask & ~na).bit_count() < alpha:
             return False
     return True
 
@@ -416,7 +402,7 @@ def omega_is_matroid(g: Graph, cap_omega=None) -> bool:
             exchange = False
             break
 
-    cliques = all(is_clique(g, comp) for comp in components(g))
+    cliques = _components_are_cliques(g)
 
     if exchange != cliques:
         raise InternalCheckError(
@@ -426,16 +412,21 @@ def omega_is_matroid(g: Graph, cap_omega=None) -> bool:
     return exchange
 
 
+def _components_are_cliques(g: Graph) -> bool:
+    return all(is_clique(g, comp) for comp in components(g))
+
+
 # ---------------------------------------------------------------------------
 # Aggregate report
 # ---------------------------------------------------------------------------
 
 
-def classify(g: Graph, cap=None, cap_omega=None) -> ClassificationReport:
-    """Full classification with witnesses and report-level consistency checks."""
+def classify(g: Graph, cap=None) -> ClassificationReport:
+    """Full classification with witnesses and report-level consistency checks.
+    ``omega_matroid`` reads the clique-components criterion alone."""
     ss = is_square_stable(g, cap)
-    wc = is_well_covered(g, cap_omega)
-    vwc = is_very_well_covered(g, cap_omega)
+    wc = is_well_covered(g, cap)
+    vwc = is_very_well_covered(g, cap)
     ke = is_koenig_egervary(g, cap)
     core = _omega_core(g, cap)
     aminus = alpha_minus_stable(g, cap)
@@ -447,7 +438,7 @@ def classify(g: Graph, cap=None, cap_omega=None) -> ClassificationReport:
     if ss:
         witnesses["square_stable_distance3_set"] = sorted(square_stable_witness(g, cap))
     if not wc:
-        kind, evidence = well_covered_counterexample(g, cap_omega)
+        kind, evidence = well_covered_counterexample(g, cap)
         witnesses["well_covered_failure"] = (
             {"isolated_vertex": evidence} if kind == "isolated_vertex"
             else {"non_maximum_maximal": sorted(evidence)}
@@ -471,7 +462,7 @@ def classify(g: Graph, cap=None, cap_omega=None) -> ClassificationReport:
         simplex_partition=_covers_each_vertex_once(g.n, simps),
         alpha_minus=aminus,
         alpha_plus_class=_CLASS_BY_CORE_SIZE[min(len(core), 2)],
-        omega_matroid=omega_is_matroid(g, cap_omega),
+        omega_matroid=_components_are_cliques(g),
         witnesses=witnesses,
     )
 

@@ -19,6 +19,7 @@ from typing import Iterator
 from .classify import classify
 from .errors import CapExceededError, ParseError
 from .generate import (
+    EXHAUSTIVE_MAX_N,
     FIXTURE_NAMES,
     Family,
     FamilySpec,
@@ -89,8 +90,8 @@ def _emit(doc: dict) -> None:
 
 
 def _analyze_doc(g: Graph, args) -> dict:
-    record = invariant_chain(g, args.cap_n, args.cap_omega)
-    report = classify(g, args.cap_n, args.cap_omega)
+    record = invariant_chain(g, args.cap_n)
+    report = classify(g, args.cap_n)
     doc = {
         "schema": SCHEMA,
         "graph": {"n": g.n, "edges": g.edge_count, "graph6": to_graph6(g)},
@@ -107,8 +108,8 @@ def _analyze_doc(g: Graph, args) -> dict:
         sq = square(g)
         doc["square"] = {
             "graph": {"n": sq.n, "edges": sq.edge_count, "graph6": to_graph6(sq)},
-            "invariants": invariant_chain(sq, args.cap_n, args.cap_omega).as_dict(),
-            "classification": classify(sq, args.cap_n, args.cap_omega).as_dict(),
+            "invariants": invariant_chain(sq, args.cap_n).as_dict(),
+            "classification": classify(sq, args.cap_n).as_dict(),
         }
     return doc
 
@@ -191,6 +192,11 @@ def _corpus_from_args(args) -> tuple[list[tuple[str, Graph]], dict, bool]:
     """Build (graph_id, graph) pairs, corpus metadata, and whether per-graph
     details belong in the report."""
     if args.exhaustive is not None:
+        if args.exhaustive < 1:
+            raise ParseError(f"--exhaustive must be at least 1, got {args.exhaustive}")
+        if args.exhaustive > EXHAUSTIVE_MAX_N:
+            raise ParseError(f"--exhaustive is capped at {EXHAUSTIVE_MAX_N} vertices, "
+                             f"got {args.exhaustive}; use --sample beyond that")
         items = [
             (to_graph6(g), g)
             for g in enumerate_corpus(args.exhaustive, not args.include_disconnected)
@@ -316,7 +322,8 @@ def _build_parser() -> argparse.ArgumentParser:
                     help="also analyze the square of the graph")
     pa.add_argument("--text", action="store_true", help="human-readable output")
     pa.add_argument("--cap-n", type=int, default=None, dest="cap_n")
-    pa.add_argument("--cap-omega", type=int, default=None, dest="cap_omega")
+    pa.add_argument("--cap-omega", type=int, default=None, dest="cap_omega",
+                    help="largest order at which --omega lists the maximum stable sets")
     pa.set_defaults(fn=cmd_analyze)
 
     pv = sub.add_parser("verify", help="run verification suites over a corpus")
@@ -343,7 +350,9 @@ def _build_parser() -> argparse.ArgumentParser:
     pv.add_argument("--text", action="store_true",
                     help="human-readable summary table instead of JSON")
     pv.add_argument("--cap-n", type=int, default=None, dest="cap_n")
-    pv.add_argument("--cap-omega", type=int, default=None, dest="cap_omega")
+    pv.add_argument("--cap-omega", type=int, default=None, dest="cap_omega",
+                    help="largest order at which the suites enumerate stable sets "
+                         "(the statements and clauses over them, the matroid suite)")
     pv.set_defaults(fn=cmd_verify)
 
     pg = sub.add_parser("generate", help="emit a family or fixture graph")

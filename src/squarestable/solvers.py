@@ -15,11 +15,11 @@ the rest; the independent domination number (the smallest maximal stable
 set) is the same search with every choice drawn from the uncovered
 vertices, so it enumerates nothing.  It tries every such choice, since
 swapping one member for a dominator that subsumes it may break
-independence.  Two caps guard against accidental
-blow-ups: a hard solver cap (default 64) and a family-enumeration cap
-(default 24, since the number of maximum stable sets can be exponential
-even when the number itself is easy), which the independent domination
-number also keeps.
+independence.  Two caps guard against accidental blow-ups: a solver
+cap (default 64) on every number and set computed here, and an enumeration
+cap (default 24) only on the searches that list a family, which can be
+exponential even when the number is easy: the two enumerations here and
+``classify.omega_is_matroid``'s scan of every stable set.
 
 Each value is computed once per graph.  A cap-free private helper computes
 it and keeps it for the last few graphs asked about, in a bounded store
@@ -265,7 +265,7 @@ def _bron_kerbosch(adj: tuple[int, ...], full: int) -> list[int]:
 def independent_domination_number(g: Graph, cap=None) -> int:
     """Minimum cardinality of a maximal stable set: the domination search of
     ``domination_number`` restricted to choices that keep the set stable."""
-    _check_cap(g.n, cap, DEFAULT_CAP_OMEGA, OMEGA_CAP)
+    _check_cap(g.n, cap, DEFAULT_CAP_N, SOLVER_CAP)
     return _idom(g)
 
 
@@ -478,17 +478,15 @@ def clique_cover_number(g: Graph, cap=None) -> int:
 # ---------------------------------------------------------------------------
 
 
-def invariant_chain(g: Graph, cap=None, cap_omega=None) -> InvariantRecord:
+def invariant_chain(g: Graph, cap=None) -> InvariantRecord:
     """All chained invariants of ``g`` and its square, order-checked.
 
     The ordering alpha_sq <= theta_sq <= gamma <= idom <= alpha <= theta is
     asserted before returning; a violation is a solver bug and raises
-    :class:`InternalCheckError` rather than returning silently.  Both caps
-    are checked before any search, in the order the searches meet them, so
-    a refusal costs nothing.
+    :class:`InternalCheckError` rather than returning silently.  The solver
+    cap is checked before any search, so a refusal costs nothing.
     """
     _check_cap(g.n, cap, DEFAULT_CAP_N, SOLVER_CAP)
-    _check_cap(g.n, cap_omega, DEFAULT_CAP_OMEGA, OMEGA_CAP)
     sq = square(g)
     record = InvariantRecord(
         alpha=stability_number(g, cap),
@@ -496,7 +494,7 @@ def invariant_chain(g: Graph, cap=None, cap_omega=None) -> InvariantRecord:
         theta=clique_cover_number(g, cap),
         theta_sq=clique_cover_number(sq, cap),
         gamma=domination_number(g, cap),
-        idom=independent_domination_number(g, cap_omega),
+        idom=independent_domination_number(g, cap),
         mu=matching_number(g),
         n=g.n,
     )

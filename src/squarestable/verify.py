@@ -120,7 +120,7 @@ _STATEMENTS = {
         stability_number(square(g), cap),
         clique_cover_number(square(g), cap),
         domination_number(g, cap),
-        independent_domination_number(g, cap_omega),
+        independent_domination_number(g, cap),
         stability_number(g, cap),
         clique_cover_number(g, cap),
     }) == 1,
@@ -226,7 +226,7 @@ def _ke_pendant_characterisation(g: Graph, cap, cap_omega):
     # all three sides are computed first: a refusal of any one makes the
     # clause unevaluated, not decided by the other two
     pendant_pm = pendant_perfect_matching(g) is not None
-    pendant_vwc = (is_very_well_covered(g, cap_omega)
+    pendant_vwc = (is_very_well_covered(g, cap)
                    and pendants_contain_maximum_stable_set(g, cap))
     return is_square_stable(g, cap) == pendant_pm == pendant_vwc
 
@@ -259,19 +259,19 @@ _CLAUSES = {
         else not is_square_stable(g, cap) or alpha_plus_class(g, cap) is AlphaPlusClass.PLUS_0,
     "square_stable_well_covered":
         lambda g, cap, cap_omega: None if _isolated(g)
-        else not is_square_stable(g, cap) or is_well_covered(g, cap_omega),
+        else not is_square_stable(g, cap) or is_well_covered(g, cap),
     "square_stable_iff_simplicial_well_covered":
         lambda g, cap, cap_omega: None if _isolated(g)
         else is_square_stable(g, cap)
-        == (is_simplicial_graph(g) and is_well_covered(g, cap_omega)),
+        == (is_simplicial_graph(g) and is_well_covered(g, cap)),
     "chordal_square_stable_iff_well_covered":
         lambda g, cap, cap_omega: None if _isolated(g) or not is_chordal(g)
-        else is_square_stable(g, cap) == is_well_covered(g, cap_omega),
+        else is_square_stable(g, cap) == is_well_covered(g, cap),
     "pendant_matching_forces_square_omega": _pendant_matching_forces_square_omega,
     "ke_pendant_characterisation": _ke_pendant_characterisation,
     "ke_well_covered_iff_very_well_covered":
         lambda g, cap, cap_omega:
-        (is_well_covered(g, cap_omega) == is_very_well_covered(g, cap_omega))
+        (is_well_covered(g, cap) == is_very_well_covered(g, cap))
         if is_koenig_egervary(g, cap) else None,
     "square_stable_ke_square":
         lambda g, cap, cap_omega: not (is_square_stable(g, cap) and is_koenig_egervary(g, cap))
@@ -302,7 +302,7 @@ class TreeReport:
     recursion_ok: bool
 
 
-def verify_tree_theorem(t: Graph, cap=None, cap_omega=None) -> TreeReport:
+def verify_tree_theorem(t: Graph, cap=None) -> TreeReport:
     """The four equivalent statements for trees, plus the recursive edge:
     a well-covered tree other than a single edge contains an edge between two
     non-pendant vertices whose removal splits off one edge and leaves a
@@ -311,10 +311,10 @@ def verify_tree_theorem(t: Graph, cap=None, cap_omega=None) -> TreeReport:
         raise ValueError("input must be a tree")
     if t.n < 2:
         raise ValueError("tree must have order at least 2")
-    wc = is_well_covered(t, cap_omega)
+    wc = is_well_covered(t, cap)
     statements = (
         wc,
-        is_very_well_covered(t, cap_omega),
+        is_very_well_covered(t, cap),
         pendant_perfect_matching(t) is not None,
         is_square_stable(t, cap),
     )
@@ -332,7 +332,7 @@ def verify_tree_theorem(t: Graph, cap=None, cap_omega=None) -> TreeReport:
             if len(small) != 2:
                 continue
             sub, _ = induced_subgraph(pruned, rest)
-            if is_well_covered(sub, cap_omega):
+            if is_well_covered(sub, cap):
                 recursion_edge = (u, v)
                 recursion_ok = True
                 break
@@ -355,16 +355,16 @@ def girth6_applicable(g: Graph) -> bool:
     return is_connected(g) and g.n != 1 and not _is_c7(g) and girth(g) >= 6
 
 
-def verify_girth6(g: Graph, cap=None, cap_omega=None) -> Optional[GirthReport]:
+def verify_girth6(g: Graph, cap=None) -> Optional[GirthReport]:
     """Five equivalent statements for qualifying graphs; ``None`` when the
     hypotheses exclude the graph (that is a skip, not a failure)."""
     if not girth6_applicable(g):
         return None
     ke = is_koenig_egervary(g, cap)
     statements = (
-        is_well_covered(g, cap_omega),
+        is_well_covered(g, cap),
         pendant_perfect_matching(g) is not None,
-        is_very_well_covered(g, cap_omega),
+        is_very_well_covered(g, cap),
         ke and g.n == 2 * stability_number(g, cap)
         and pendants_contain_maximum_stable_set(g, cap),
         ke and is_square_stable(g, cap),
@@ -384,7 +384,7 @@ def _equivalences(gid: str, g: Graph, cap, cap_omega):
 
 def _chain(gid: str, g: Graph, cap, cap_omega):
     try:
-        record = invariant_chain(g, cap, cap_omega)
+        record = invariant_chain(g, cap)
     except InternalCheckError as exc:
         return None, [("inequality_chain", str(exc))]
     return {"graph_id": gid, "invariants": record.as_dict()}, []
@@ -399,7 +399,7 @@ def _implications(gid: str, g: Graph, cap, cap_omega):
 def _tree(gid: str, g: Graph, cap, cap_omega):
     if not is_tree(g) or g.n < 2:
         return None
-    report = verify_tree_theorem(g, cap, cap_omega)
+    report = verify_tree_theorem(g, cap)
     violations = []
     if not report.agree:
         violations.append(("tree_equivalence", list(report.statements)))
@@ -414,7 +414,7 @@ def _tree(gid: str, g: Graph, cap, cap_omega):
 
 
 def _girth6(gid: str, g: Graph, cap, cap_omega):
-    report = verify_girth6(g, cap, cap_omega)
+    report = verify_girth6(g, cap)
     if report is None:
         return None
     violations = [] if report.agree else [("girth6_equivalence", list(report.statements))]

@@ -8,8 +8,8 @@ Most definitional routes of the class predicates at the end are the
 exception: they read the library's exact alpha, its family of maximum
 stable sets and its matching counter on edited graphs and stable subsets,
 so they are independent of the characterisations that ``classify``
-computes, not of the solvers.  The simplexes by maximal cliques read only
-the adjacency.
+computes, not of the solvers.  The simplexes by maximal cliques and P2 by
+stable subsets read only the adjacency.
 """
 
 from functools import lru_cache
@@ -296,6 +296,17 @@ def p1_by_stable_subsets(g: Graph, s) -> bool:
         _count_matchings_into(g, amask, smask, 2)[0] == 1
         for amask in stable_subsets(g, g.full_mask() & ~smask) if amask
     )
+
+
+def p2_by_stable_subsets(g: Graph, s) -> bool:
+    """True iff every non-empty stable set A disjoint from ``s`` is the part
+    outside ``s`` of some maximum stable set, by scanning every vertex
+    subset."""
+    smask = sum(1 << v for v in s)
+    stable = [m for m in range(1 << g.n) if _is_stable_mask(g, m)]
+    alpha = max(m.bit_count() for m in stable)
+    extended = {m & ~smask for m in stable if m.bit_count() == alpha}
+    return all(m & ~smask in extended for m in stable if m & ~smask)
 
 
 def simplexes_by_maximal_cliques(g: Graph) -> list[tuple[frozenset, frozenset]]:

@@ -44,6 +44,7 @@ from oracles import (
     alpha_plus_by_edge_addition,
     omega_core_by_intersection,
     p1_by_stable_subsets,
+    p2_by_stable_subsets,
     simplexes_by_maximal_cliques,
 )
 from strategies import graphs
@@ -120,14 +121,19 @@ def test_well_covered_counterexample_matches_the_enumeration_route():
     assert min(kinds.values()) > 100, kinds  # each outcome is well represented
 
 
-def test_well_covered_checks_the_enumeration_cap_after_isolated_vertices():
+def test_well_covered_checks_the_solver_cap_after_isolated_vertices():
+    # 30 vertices: over the enumeration cap, which well-coveredness does not read
     g = cycle_graph(30)
+    assert is_well_covered(g) is False
+    kind, evidence = well_covered_counterexample(g)
+    assert kind == "non_maximum_maximal" and len(evidence) < 15
+    assert evidence in enumerate_maximal_stable_sets(g, cap=30)
     for predicate in (is_well_covered, well_covered_counterexample):
-        with pytest.raises(CapExceededError, match=r"enumeration cap exceeded \(30 > 24\)"):
-            predicate(g)
+        with pytest.raises(CapExceededError, match=r"exact solver cap exceeded \(30 > 29\)"):
+            predicate(g, cap=29)
     isolated = Graph.from_edges(30, [(u, u + 1) for u in range(28)])
-    assert is_well_covered(isolated) is False
-    assert well_covered_counterexample(isolated) == ("isolated_vertex", 29)
+    assert is_well_covered(isolated, cap=29) is False
+    assert well_covered_counterexample(isolated, cap=29) == ("isolated_vertex", 29)
 
 
 def test_very_well_covered_examples():
@@ -243,6 +249,8 @@ def test_one_route_predicates_match_their_definitions():
         family = set(enumerate_maximum_stable_sets(g).sets)
         for s in family | set(enumerate_maximum_stable_sets(square(g)).sets):
             assert p1_unique_matchability(g, s) == p1_by_stable_subsets(g, s), (g, s)
+            assert p2_exchangeability(g, s) == p2_by_stable_subsets(g, s), (g, s)
+        assert classify(g).omega_matroid == omega_is_matroid(g), g
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,7 @@ from squarestable.generate import (
     random_connected_graph,
     random_tree,
 )
-from squarestable.graphs import format_edge_list, parse_edge_list, parse_graph6, to_graph6
+from squarestable.graphs import Graph, format_edge_list, parse_edge_list, parse_graph6, to_graph6
 
 
 def run_cli(capsys, *argv):
@@ -85,18 +85,41 @@ def test_analyze_cap_refusal_names_the_cap(capsys, tmp_path):
 
 
 def test_analyze_refuses_before_any_search(capsys, tmp_path):
-    # n = 48 is under the solver cap and over the enumeration cap, which
-    # independent domination keeps: the refusal comes before alpha, theta and
-    # gamma are searched for
+    # n = 48 is over the solver cap given: the refusal comes before alpha,
+    # theta and gamma are searched for
     g = corona_with_k1(random_connected_graph(24, 2))
     path = tmp_path / "corona.g6"
     path.write_text(to_graph6(g) + "\n")
     helpers = (graphs._square, solvers._alpha, solvers._least_maximum_stable_set, solvers._omega,
                solvers._maximal_stable_sets, solvers._gamma, solvers._idom, solvers._cover)
     misses = [h.cache_info().misses for h in helpers]
-    code, out, err = run_cli(capsys, "analyze", str(path))
-    assert (code, out, err) == (3, "", "error: stable-set enumeration cap exceeded (48 > 24)\n")
+    code, out, err = run_cli(capsys, "analyze", "--cap-n", "47", str(path))
+    assert (code, out, err) == (3, "", "error: exact solver cap exceeded (48 > 47)\n")
     assert [h.cache_info().misses for h in helpers] == misses
+
+
+def test_analyze_answers_above_the_enumeration_cap(capsys, tmp_path):
+    # The enumeration cap guards only --omega: every number and class of a
+    # graph over it is answered up to the solver cap.
+    path = tmp_path / "g.g6"
+    path.write_text(to_graph6(cycle_graph(30)) + "\n")
+    doc = analyze_json(capsys, "analyze", str(path))
+    assert doc["invariants"] == {"n": 30, "alpha": 15, "alpha_sq": 10, "theta": 15,
+                                 "theta_sq": 10, "gamma": 10, "idom": 10, "mu": 15}
+    assert not doc["classification"]["well_covered"]
+    assert not doc["classification"]["omega_matroid"]
+    code, out, err = run_cli(capsys, "analyze", "--omega", str(path))
+    assert (code, out, err) == (3, "", "error: stable-set enumeration cap exceeded (30 > 24)\n")
+
+    path.write_text(to_graph6(Graph.from_edges(20, [])) + "\n")
+    cls = analyze_json(capsys, "analyze", str(path))["classification"]
+    assert cls["witnesses"]["well_covered_failure"] == {"isolated_vertex": 0}
+    assert cls["omega_matroid"] and cls["square_stable"]
+
+    for g in [cycle_graph(60), random_tree(40, 2)] + [random_connected_graph(40, s)
+                                                        for s in range(4)]:
+        path.write_text(to_graph6(g) + "\n")
+        assert analyze_json(capsys, "analyze", str(path))["invariants"]["n"] == g.n
 
 
 def test_analyze_env_cap(capsys, tmp_path, monkeypatch):
@@ -202,6 +225,17 @@ def test_verify_negative_sample_is_an_error(capsys):
 def test_verify_sample_max_n_below_one_is_an_error(capsys):
     code, out, err = run_cli(capsys, "verify", "--sample", "5", "--seed", "1", "--max-n", "0")
     assert code == 2 and "--max-n must be at least 1" in err and out == ""
+
+
+def test_verify_exhaustive_below_one_is_an_error(capsys):
+    code, out, err = run_cli(capsys, "verify", "--exhaustive", "0")
+    assert code == 2 and "--exhaustive must be at least 1" in err and out == ""
+
+
+def test_verify_exhaustive_beyond_its_cap_points_to_sample(capsys):
+    code, out, err = run_cli(capsys, "verify", "--exhaustive", "10")
+    assert code == 2 and out == ""
+    assert "--exhaustive is capped at 9 vertices" in err and "use --sample" in err
 
 
 def test_verify_reports_violations_with_exit_1(capsys, monkeypatch):
@@ -389,13 +423,16 @@ def test_capped_verify_report_is_pinned(capsys):
 
     # Many values of this corpus are refused by one cap or the other, so the
     # digest pins which predicates read which cap, and which refusals a
-    # statement or clause turns into an unevaluated entry.
+    # statement or clause turns into an unevaluated entry.  Graphs of 9
+    # vertices go through the chain suite and the well-coveredness clauses,
+    # which read only the solver cap, but not through the matroid suite or
+    # the statements over the maximum stable sets.
     argv = ("verify", "--sample", "200", "--max-n", "12", "--seed", "4",
             "--cap-n", "9", "--cap-omega", "8", "--details")
     code, out, err = run_cli(capsys, *argv)
     assert code == 0, err
     assert hashlib.sha256(out.encode()).hexdigest() == (
-        "7ed8cc022a1d7e7d8884935d952d3eda9d981cd892b762cc1fe2d958183c9191")
+        "4a45b5ca625603477e08172007352aca15d1fa7be1ed09797376579bb5fcc3e8")
 
 
 def test_analyze_report_is_pinned(capsys, tmp_path):
@@ -423,8 +460,11 @@ def test_plain_and_text_analyze_reports_are_pinned(capsys, tmp_path):
               + [random_connected_graph(n, s) for n in (8, 14, 20, 24) for s in range(3)])
     path = tmp_path / "mixed.g6"
     path.write_text("".join(to_graph6(g) + "\n" for g in graphs))
+    # --cap-omega guards only --omega, so without it the report is unchanged
+    plain = "2ab5ea31cc875fecb31a9ddfae13043c9cdc4ea0a4db2ca62a567671a16ce4fd"
     pinned = {
-        (): "2ab5ea31cc875fecb31a9ddfae13043c9cdc4ea0a4db2ca62a567671a16ce4fd",
+        (): plain,
+        ("--cap-omega", "1"): plain,
         ("--text",): "5d9e9c08d90fcbf6fba69651ec14f78f7fcfb9e213cd330b64759fec93a3f411",
     }
     for flags, digest in pinned.items():
