@@ -83,20 +83,7 @@ class ClassificationReport:
     witnesses: dict = field(default_factory=dict)
 
     def as_dict(self) -> dict:
-        d = {
-            "square_stable": self.square_stable,
-            "well_covered": self.well_covered,
-            "very_well_covered": self.very_well_covered,
-            "koenig_egervary": self.koenig_egervary,
-            "simplicial_graph": self.simplicial_graph,
-            "chordal": self.chordal,
-            "simplex_partition": self.simplex_partition,
-            "alpha_minus": self.alpha_minus,
-            "alpha_plus_class": self.alpha_plus_class.value,
-            "omega_matroid": self.omega_matroid,
-            "witnesses": self.witnesses,
-        }
-        return d
+        return dict(vars(self), alpha_plus_class=self.alpha_plus_class.value)
 
 
 # ---------------------------------------------------------------------------
@@ -270,24 +257,36 @@ def alpha_minus_stable(g: Graph, cap=None) -> bool:
 
     Deleting the edge uv raises alpha exactly when a stable set of size
     alpha - 1 avoids the closed neighbourhoods of both u and v, so each edge
-    costs one stability number of a smaller vertex set.
+    costs one search that stops at the first such set.  No search is needed
+    when a vertex v outside a maximum stable set S has one neighbour u in
+    it: S + v is stable once uv is deleted.
     """
-    alpha = stability_number(g, cap)
-    full = g.full_mask()
+    s = mask_of(maximum_stable_set(g, cap))
+    alpha, full = s.bit_count(), g.full_mask()
+    if any((g.adj[v] & s).bit_count() == 1 for v in bit_indices(full & ~s)):
+        return False
     return all(
-        _alpha_mask(g.adj, full & ~(g.adj[u] | g.adj[v])) < alpha - 1 for u, v in g.edges()
+        _alpha_mask(g.adj, full & ~(g.adj[u] | g.adj[v]), alpha - 2, alpha - 1)[1] is None
+        for u, v in g.edges()
     )
 
 
 def _omega_core(g: Graph, cap=None) -> frozenset[int]:
     """The vertices that lie in every maximum stable set.
 
-    They all lie in any one maximum stable set S, and are the vertices of S
-    whose deletion lowers alpha: at most alpha stability numbers.
+    They all lie in any one maximum stable set S.  A vertex v of S is out of
+    the core exactly when G - v still has a stable set of size alpha; that
+    set is itself maximum, so only the candidates inside it stay.
     """
-    s = maximum_stable_set(g, cap)
-    full = g.full_mask()
-    return frozenset(v for v in s if _alpha_mask(g.adj, full & ~(1 << v)) < len(s))
+    core = left = mask_of(maximum_stable_set(g, cap))
+    alpha, full = core.bit_count(), g.full_mask()
+    while left:
+        b = left & -left
+        other = _alpha_mask(g.adj, full & ~b, alpha - 1, alpha)[1]
+        if other is not None:
+            core &= other
+        left &= core & ~b
+    return set_of(core)
 
 
 def alpha_plus_class(g: Graph, cap=None) -> AlphaPlusClass:
@@ -398,7 +397,7 @@ def omega_is_matroid(g: Graph, cap_omega=None) -> bool:
             b = mm & -mm
             closed |= g.adj[b.bit_length() - 1]
             mm ^= b
-        if _alpha_mask(g.adj, closed) > imask.bit_count():
+        if _alpha_mask(g.adj, closed, imask.bit_count(), imask.bit_count() + 1)[1] is not None:
             exchange = False
             break
 

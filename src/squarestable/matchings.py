@@ -134,11 +134,6 @@ def is_valid_matching(g: Graph, m: Iterable[tuple[int, int]]) -> bool:
     return True
 
 
-def is_perfect_matching(g: Graph, m: Iterable[tuple[int, int]]) -> bool:
-    edges = list(m)
-    return is_valid_matching(g, edges) and 2 * len(edges) == g.n
-
-
 # ---------------------------------------------------------------------------
 # Perfect-matching structure
 # ---------------------------------------------------------------------------
@@ -190,32 +185,13 @@ def count_perfect_matchings(g: Graph, cap: int = 2) -> int:
     return rec(full)
 
 
-def enumerate_perfect_matchings(g: Graph):
-    """Yield every perfect matching (deterministic order)."""
-    if g.n % 2:
-        return
-    full = g.full_mask()
-
-    def rec(uncovered: int, acc: list[tuple[int, int]]):
-        if not uncovered:
-            yield frozenset(acc)
-            return
-        b = uncovered & -uncovered
-        v = b.bit_length() - 1
-        for u in bit_indices(g.adj[v] & uncovered):
-            acc.append(_normalize(v, u))
-            yield from rec(uncovered & ~b & ~(1 << u), acc)
-            acc.pop()
-
-    yield from rec(full, [])
-
-
 def has_induced_perfect_matching(g: Graph) -> bool:
-    """True iff some perfect matching of ``g`` is an induced matching."""
-    for m in enumerate_perfect_matchings(g):
-        if is_induced_matching(g, m):
-            return True
-    return False
+    """True iff some perfect matching of ``g`` is an induced matching.
+
+    An induced perfect matching covers every vertex and leaves no other edge,
+    so it is the whole edge set: every vertex has degree exactly 1.
+    """
+    return all(m.bit_count() == 1 for m in g.adj)
 
 
 def pendant_perfect_matching(g: Graph) -> Optional[Matching]:

@@ -5,21 +5,26 @@ Everything here is exact: branch-and-bound for the optimisation numbers,
 full enumeration (pivoted Bron-Kerbosch, levelled branching) for the set
 families.  The stability number is MCQ (Tomita & Seki 2003) on the
 complement, with the bitset clique classes of BBMC (San Segundo et al. 2011);
-their count also bounds the enumeration of maximum stable sets.  The clique
-cover is a DSATUR colouring of the complement, stopped as soon as it meets
-the stability number.  Domination branches on the uncovered vertex with the
-fewest dominators, skips a dominator whose gain on the uncovered set lies
-inside that of one tried before it (the subsumption rule of van Rooij &
-Bodlaender 2011), and is bounded by the fewest largest gains that can cover
-the rest; the independent domination number (the smallest maximal stable
-set) is the same search with every choice drawn from the uncovered
-vertices, so it enumerates nothing.  It tries every such choice, since
-swapping one member for a dominator that subsumes it may break
-independence.  Two caps guard against accidental blow-ups: a solver
-cap (default 64) on every number and set computed here, and an enumeration
-cap (default 24) only on the searches that list a family, which can be
-exponential even when the number is easy: the two enumerations here and
-``classify.omega_is_matroid``'s scan of every stable set.
+their count also bounds the enumeration of maximum stable sets.  It first
+folds away each vertex with at most one neighbour left, which lies in some
+maximum stable set, so forests and coronas need no branching.  A caller
+that asks whether alpha reaches a size gives a floor for the incumbent and
+a stop at which the search ends, and gets the set found as a witness.  The
+clique cover is a DSATUR colouring of the complement, stopped as soon as it
+meets the stability number.  Domination branches on the uncovered vertex
+with the fewest dominators, skips a dominator whose gain on the uncovered
+set lies inside that of one tried before it (the subsumption rule of van
+Rooij & Bodlaender 2011), and is bounded by the fewest largest gains that
+can cover the rest; the independent domination number (the smallest
+maximal stable set) is the same search with every choice drawn from the
+uncovered vertices, so it enumerates nothing.  It tries every such choice,
+since swapping one member for a dominator that subsumes it may break
+independence, and it stops at gamma, its lower bound.  Two caps guard
+against accidental blow-ups: a solver cap (default 64) on every number and
+set computed here, and an enumeration cap (default 24) only on the
+searches that list a family, which can be exponential even when the number
+is easy: the two enumerations here and ``classify.omega_is_matroid``'s scan
+of every stable set.
 
 Each value is computed once per graph.  A cap-free private helper computes
 it and keeps it for the last few graphs asked about, in a bounded store
@@ -72,16 +77,7 @@ class InvariantRecord:
         return (self.alpha_sq, self.theta_sq, self.gamma, self.idom, self.alpha, self.theta)
 
     def as_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "alpha": self.alpha,
-            "alpha_sq": self.alpha_sq,
-            "theta": self.theta,
-            "theta_sq": self.theta_sq,
-            "gamma": self.gamma,
-            "idom": self.idom,
-            "mu": self.mu,
-        }
+        return dict(vars(self))
 
 
 @dataclass(frozen=True)
@@ -115,15 +111,41 @@ def _clique_partition(adj: tuple[int, ...], cand: int) -> list[int]:
     return classes
 
 
-def _alpha_mask(adj: tuple[int, ...], mask: int) -> int:
+class _Reached(Exception):
+    """Unwinds a search once its incumbent reaches the caller's stop."""
+
+
+def _alpha_mask(adj: tuple[int, ...], mask: int, floor: int, stop: int):
+    # Returns (size, witness): size is max(floor, alpha(mask)) capped at
+    # stop >= 0, and witness is a stable set of that size as a mask, or None
+    # when none beats the floor.
+    if mask.bit_count() <= floor:
+        return floor, None
+    # A vertex with at most one neighbour left can replace that neighbour in
+    # a maximum stable set: alpha = 1 + alpha(G - N[v]).  Folding it lowers
+    # only the degrees of its neighbour's neighbours, so those are looked at
+    # again.
+    folded, base, todo = 0, 0, mask
+    while todo and base < stop:
+        b = todo & -todo
+        todo ^= b
+        nbrs = adj[b.bit_length() - 1] & mask
+        if mask & b and nbrs & (nbrs - 1) == 0:
+            folded |= b
+            base += 1
+            mask &= ~nbrs & ~b
+            if nbrs:
+                todo |= adj[nbrs.bit_length() - 1] & mask
+    best, witness = floor - base, None
+
     # when a vertex of class k is next, the candidates left lie in classes
     # 1..k, so no stable set among them has more than k members
-    best = 0
-
-    def rec(cand: int, size: int) -> None:
-        nonlocal best
+    def rec(cand: int, size: int, chosen: int) -> None:
+        nonlocal best, witness
         if size > best:
-            best = size
+            best, witness = size, chosen
+            if base + size >= stop:
+                raise _Reached
         classes = _clique_partition(adj, cand)
         for k in range(len(classes), 0, -1):
             cls = classes[k - 1]
@@ -132,11 +154,14 @@ def _alpha_mask(adj: tuple[int, ...], mask: int) -> int:
                     return
                 b = cls & -cls
                 cls ^= b
-                rec(cand & ~adj[b.bit_length() - 1] & ~b, size + 1)
+                rec(cand & ~adj[b.bit_length() - 1] & ~b, size + 1, chosen | b)
                 cand ^= b
 
-    rec(mask, 0)
-    return best
+    try:
+        rec(mask, 0, 0)
+    except _Reached:
+        pass
+    return (floor, None) if witness is None else (base + best, folded | witness)
 
 
 def stability_number(g: Graph, cap=None) -> int:
@@ -149,7 +174,7 @@ def stability_number(g: Graph, cap=None) -> int:
 
 @_store
 def _alpha(g: Graph) -> int:
-    return _alpha_mask(g.adj, g.full_mask())
+    return _alpha_mask(g.adj, g.full_mask(), 0, g.n)[0]
 
 
 def maximum_stable_set(g: Graph, cap=None) -> frozenset[int]:
@@ -161,21 +186,29 @@ def maximum_stable_set(g: Graph, cap=None) -> frozenset[int]:
 
 @_store
 def _least_maximum_stable_set(g: Graph) -> frozenset[int]:
+    # Keep each vertex in turn that lies in some maximum stable set of the
+    # candidates left: in the last witness found, or in the one a decision
+    # search finds.  A witness stays maximum while its vertices are kept.
     adj = g.adj
     remaining = _alpha(g)
-    chosen: list[int] = []
+    chosen = witness = 0
     cand = g.full_mask()
     v = 0
     while remaining:
         bit = 1 << v
-        if cand & bit and 1 + _alpha_mask(adj, cand & ~adj[v] & ~bit) == remaining:
-            chosen.append(v)
-            cand &= ~adj[v] & ~bit
+        rest = cand & ~adj[v] & ~bit
+        if cand & bit and not witness & bit:
+            found = _alpha_mask(adj, rest, remaining - 2, remaining - 1)[1]
+            if found is not None:
+                witness = found | bit
+        if cand & witness & bit:
+            chosen |= bit
+            cand = rest
             remaining -= 1
         else:
             cand &= ~bit
         v += 1
-    return frozenset(chosen)
+    return set_of(chosen)
 
 
 def enumerate_maximum_stable_sets(g: Graph, cap=None) -> StableSetFamily:
@@ -293,13 +326,15 @@ def _gamma(g: Graph) -> int:
 
 @_store
 def _idom(g: Graph) -> int:
-    return _domination_search(g, independent=True)
+    # every independent dominating set dominates, so idom >= gamma
+    return _domination_search(g, independent=True, lower=_gamma(g))
 
 
-def _domination_search(g: Graph, independent: bool) -> int:
+def _domination_search(g: Graph, independent: bool, lower: int = 0) -> int:
     # An independent dominating set is one whose every member was uncovered
     # when it was chosen, so in that case the greedy picks, the gains bound
     # and the branching choices all range over the uncovered vertices only.
+    # The search stops once it finds a set of the size of a known lower bound.
     n = g.n
     if n == 0:
         return 0
@@ -322,6 +357,8 @@ def _domination_search(g: Graph, independent: bool) -> int:
 
     def rec(uncovered: int, size: int) -> None:
         nonlocal best
+        if best <= lower:
+            return
         if not uncovered:
             if size < best:
                 best = size

@@ -160,12 +160,7 @@ class EquivalenceReport:
     failing_pair: Optional[dict] = None
 
     def as_dict(self) -> dict:
-        return {
-            "graph_id": self.graph_id,
-            "statements": dict(zip(STATEMENT_NAMES, self.statements)),
-            "agree": self.agree,
-            "failing_pair": self.failing_pair,
-        }
+        return dict(vars(self), statements=dict(zip(STATEMENT_NAMES, self.statements)))
 
 
 def verify_equivalences(g: Graph, cap=None, cap_omega=None, graph_id: str = "") -> EquivalenceReport:
@@ -455,15 +450,7 @@ class SuiteResult:
     details: list = field(default_factory=list)
 
     def as_dict(self, include_details: bool) -> dict:
-        d = {
-            "suite_name": self.suite_name,
-            "graphs_checked": self.graphs_checked,
-            "skipped": self.skipped,
-            "violations": self.violations,
-        }
-        if include_details:
-            d["details"] = self.details
-        return d
+        return {k: v for k, v in vars(self).items() if include_details or k != "details"}
 
 
 @dataclass

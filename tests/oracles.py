@@ -6,9 +6,10 @@ real solvers on small graphs.
 
 Most definitional routes of the class predicates at the end are the
 exception: they read the library's exact alpha, its family of maximum
-stable sets and its matching counter on edited graphs and stable subsets,
-so they are independent of the characterisations that ``classify``
-computes, not of the solvers.  The simplexes by maximal cliques and P2 by
+stable sets, its matching counter and its induced-matching test on edited
+graphs, stable subsets and perfect matchings, so they are independent of
+the characterisations that ``classify`` and ``matchings`` compute, not of
+the solvers.  The simplexes by maximal cliques and P2 by
 stable subsets read only the adjacency.
 """
 
@@ -17,7 +18,7 @@ from itertools import permutations
 import random
 
 from squarestable.graphs import Graph, INFINITE, bit_indices, mask_of, stable_subsets
-from squarestable.matchings import _count_matchings_into
+from squarestable.matchings import _count_matchings_into, is_induced_matching
 from squarestable.solvers import enumerate_maximum_stable_sets, stability_number
 
 
@@ -207,6 +208,26 @@ def oracle_count_perfect_matchings(g: Graph) -> int:
     return rec((1 << g.n) - 1)
 
 
+def enumerate_perfect_matchings(g: Graph):
+    """Yield every perfect matching (deterministic order)."""
+    if g.n % 2:
+        return
+    full = g.full_mask()
+
+    def rec(uncovered: int, acc: list[tuple[int, int]]):
+        if not uncovered:
+            yield frozenset(acc)
+            return
+        b = uncovered & -uncovered
+        v = b.bit_length() - 1
+        for u in bit_indices(g.adj[v] & uncovered):
+            acc.append((v, u))
+            yield from rec(uncovered & ~b & ~(1 << u), acc)
+            acc.pop()
+
+    yield from rec(full, [])
+
+
 def reference_parse_graph6(s: str) -> Graph:
     """Independent graph6 decoder (short form): string-formatting route."""
     s = s.strip()
@@ -307,6 +328,12 @@ def p2_by_stable_subsets(g: Graph, s) -> bool:
     alpha = max(m.bit_count() for m in stable)
     extended = {m & ~smask for m in stable if m.bit_count() == alpha}
     return all(m & ~smask in extended for m in stable if m & ~smask)
+
+
+def induced_perfect_matching_by_enumeration(g: Graph) -> bool:
+    """True iff some perfect matching of ``g`` is an induced matching, by
+    testing every perfect matching in turn."""
+    return any(is_induced_matching(g, m) for m in enumerate_perfect_matchings(g))
 
 
 def simplexes_by_maximal_cliques(g: Graph) -> list[tuple[frozenset, frozenset]]:

@@ -12,3 +12,13 @@ def graphs(draw, min_n: int = 0, max_n: int = 8):
     mask = draw(st.integers(0, (1 << len(pairs)) - 1)) if pairs else 0
     edges = [pairs[k] for k in range(len(pairs)) if mask >> k & 1]
     return Graph.from_edges(n, edges)
+
+
+@st.composite
+def graphs_with_pendants(draw, max_n: int = 7, max_pendants: int = 5):
+    """A graph with pendant vertices hung on some of its vertices, so that
+    degree-one folding has work to do."""
+    g = draw(graphs(max_n=max_n))
+    hosts = draw(st.lists(st.integers(0, g.n - 1), max_size=max_pendants)) if g.n else []
+    edges = list(g.edges()) + [(v, g.n + i) for i, v in enumerate(hosts)]
+    return Graph.from_edges(g.n + len(hosts), edges)

@@ -37,17 +37,24 @@ from squarestable.generate import (
     star_graph,
 )
 from squarestable.graphs import Graph, distance_matrix, isolated_vertices, square
-from squarestable.solvers import enumerate_maximal_stable_sets, enumerate_maximum_stable_sets
+from squarestable.solvers import (
+    enumerate_maximal_stable_sets,
+    enumerate_maximum_stable_sets,
+    independent_domination_number,
+    maximum_stable_set,
+)
 from oracles import (
     alpha_minus_by_edge_deletion,
     alpha_minus_by_omega_neighbourhoods,
     alpha_plus_by_edge_addition,
     omega_core_by_intersection,
+    oracle_idom,
+    oracle_omega,
     p1_by_stable_subsets,
     p2_by_stable_subsets,
     simplexes_by_maximal_cliques,
 )
-from strategies import graphs
+from strategies import graphs, graphs_with_pendants
 
 DIAMOND = named_fixture("diamond")
 
@@ -251,6 +258,19 @@ def test_one_route_predicates_match_their_definitions():
             assert p1_unique_matchability(g, s) == p1_by_stable_subsets(g, s), (g, s)
             assert p2_exchangeability(g, s) == p2_by_stable_subsets(g, s), (g, s)
         assert classify(g).omega_matroid == omega_is_matroid(g), g
+
+
+@given(graphs_with_pendants(max_n=7, max_pendants=5))
+@settings(max_examples=150)
+def test_decision_searches_match_their_definitions(g):
+    # The searches that stop at a known bound, on graphs with pendant
+    # vertices to fold: the core, edge deletion, idom and the least maximum
+    # stable set.
+    for h in (g, square(g)):
+        assert _omega_core(h) == omega_core_by_intersection(h), h
+        assert alpha_minus_stable(h) == alpha_minus_by_edge_deletion(h), h
+        assert independent_domination_number(h) == oracle_idom(h), h
+        assert sorted(maximum_stable_set(h)) == min(sorted(s) for s in oracle_omega(h)), h
 
 
 # ---------------------------------------------------------------------------

@@ -122,6 +122,23 @@ def test_analyze_answers_above_the_enumeration_cap(capsys, tmp_path):
         assert analyze_json(capsys, "analyze", str(path))["invariants"]["n"] == g.n
 
 
+def test_analyze_answers_on_coronas(capsys, tmp_path):
+    # The graphs of the paper's Koenig-Egervary theorem: a perfect matching
+    # of pendant edges, alpha = mu = n/2 and a square-stable graph.  Their
+    # alpha searches end by folding pendant vertices.
+    path = tmp_path / "corona.g6"
+    hosts = [cycle_graph(30)] + [random_connected_graph(24, s) for s in range(4)]
+    for h in hosts:
+        g = corona_with_k1(h)
+        path.write_text(to_graph6(g) + "\n")
+        doc = analyze_json(capsys, "analyze", str(path))
+        inv, cls = doc["invariants"], doc["classification"]
+        assert inv["alpha"] == inv["mu"] == h.n and inv["n"] == 2 * h.n
+        assert cls["square_stable"] and cls["koenig_egervary"] and cls["very_well_covered"]
+        assert cls["witnesses"]["pendant_perfect_matching"] == [[v, v + h.n] for v in range(h.n)]
+        assert cls["alpha_plus_class"] == "PLUS_0" and cls["witnesses"]["omega_core"] == []
+
+
 def test_analyze_env_cap(capsys, tmp_path, monkeypatch):
     path = tmp_path / "c12.g6"
     path.write_text(to_graph6(cycle_graph(12)) + "\n")

@@ -4,9 +4,11 @@ import pytest
 from hypothesis import given, settings
 
 from squarestable.generate import (
+    complete_bipartite_graph,
     complete_graph,
     corona_with_k1,
     cycle_graph,
+    enumerate_corpus,
     named_fixture,
     path_graph,
     star_graph,
@@ -15,17 +17,23 @@ from squarestable.graphs import Graph, is_bipartite
 from squarestable.matchings import (
     PerfectMatchingStatus,
     count_perfect_matchings,
-    enumerate_perfect_matchings,
     has_induced_perfect_matching,
     is_induced_matching,
-    is_perfect_matching,
+    is_valid_matching,
     match_into,
     matching_number,
     maximum_matching,
     pendant_perfect_matching,
     unique_perfect_matching,
 )
-from oracles import oracle_alpha, oracle_count_perfect_matchings, oracle_mu, random_graph
+from oracles import (
+    enumerate_perfect_matchings,
+    induced_perfect_matching_by_enumeration,
+    oracle_alpha,
+    oracle_count_perfect_matchings,
+    oracle_mu,
+    random_graph,
+)
 from strategies import graphs
 
 PETERSEN = Graph.from_edges(10, [
@@ -33,6 +41,13 @@ PETERSEN = Graph.from_edges(10, [
     (5, 7), (7, 9), (9, 6), (6, 8), (8, 5),
     (0, 5), (1, 6), (2, 7), (3, 8), (4, 9),
 ])
+
+
+
+
+def is_perfect_matching(g: Graph, m) -> bool:
+    edges = list(m)
+    return is_valid_matching(g, edges) and 2 * len(edges) == g.n
 
 
 # ---------------------------------------------------------------------------
@@ -185,6 +200,14 @@ def test_has_induced_perfect_matching():
     assert has_induced_perfect_matching(Graph.from_edges(4, [(0, 1), (2, 3)]))
     # C6 has perfect matchings but none induced
     assert not has_induced_perfect_matching(cycle_graph(6))
+    assert has_induced_perfect_matching(Graph.from_edges(0, []))
+    assert not has_induced_perfect_matching(complete_bipartite_graph(6, 6))
+    # the degree test against the enumeration of every perfect matching
+    corpus = list(enumerate_corpus(7, connected_only=False))
+    corpus += [Graph.from_edges(2 * k, [(2 * i, 2 * i + 1) for i in range(k)]) for k in range(5)]
+    corpus += [corona_with_k1(cycle_graph(4)), complete_bipartite_graph(3, 3)]
+    for g in corpus:
+        assert has_induced_perfect_matching(g) == induced_perfect_matching_by_enumeration(g), g
 
 
 # ---------------------------------------------------------------------------

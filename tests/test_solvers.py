@@ -2,6 +2,7 @@ import random
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from squarestable.errors import CapExceededError
 from squarestable.generate import (
@@ -13,7 +14,9 @@ from squarestable.generate import (
     random_tree,
     star_graph,
 )
+from squarestable import solvers
 from squarestable.graphs import Graph, bit_indices, induced_subgraph, is_clique, is_stable_set, square
+from squarestable.matchings import matching_number
 from squarestable.solvers import (
     _alpha_mask,
     _clique_partition,
@@ -36,7 +39,7 @@ from oracles import (
     oracle_theta,
     random_graph,
 )
-from strategies import graphs
+from strategies import graphs, graphs_with_pendants
 
 
 # ---------------------------------------------------------------------------
@@ -100,7 +103,64 @@ def test_masked_stability_number_matches_oracle():
             masks += [full & ~(h.adj[u] | h.adj[v]) for u, v in list(h.edges())[:2]]
             for m in masks:
                 sub, _ = induced_subgraph(h, bit_indices(m))
-                assert _alpha_mask(h.adj, m) == oracle_alpha(sub)
+                alpha = oracle_alpha(sub)
+                assert _alpha_mask(h.adj, m, 0, h.n)[0] == alpha
+                # the decisions: every floor and stop around alpha
+                for floor in range(alpha - 2, alpha + 2):
+                    for stop in (floor + 1, alpha, alpha + 1, h.n):
+                        if stop > max(floor, -1):
+                            _check_decision(h.adj, m, floor, stop, alpha)
+
+
+def _check_decision(adj: tuple[int, ...], mask: int, floor: int, stop: int, alpha: int) -> None:
+    # the contract of _alpha_mask: the size is max(floor, alpha) capped at
+    # stop, with a stable witness of that size inside the mask whenever alpha
+    # beats the floor
+    size, witness = _alpha_mask(adj, mask, floor, stop)
+    assert size == min(max(floor, alpha), stop)
+    assert (witness is None) == (alpha <= floor)
+    if witness is not None:
+        assert witness & ~mask == 0 and witness.bit_count() == size
+        assert all(adj[v] & witness == 0 for v in bit_indices(witness))
+
+
+@given(st.one_of(graphs(max_n=10), graphs_with_pendants()), st.data())
+@settings(max_examples=300)
+def test_alpha_mask_stops_at_the_bound_it_is_given(g, data):
+    mask = data.draw(st.integers(0, g.full_mask()))
+    floor = data.draw(st.integers(-2, g.n))
+    stop = data.draw(st.integers(max(floor + 1, 0), g.n + 2))
+    sub, _ = induced_subgraph(g, bit_indices(mask))
+    _check_decision(g.adj, mask, floor, stop, oracle_alpha(sub))
+
+
+def test_folding_alone_solves_forests_and_isolated_vertices(monkeypatch):
+    # Every vertex of a forest folds away, so the branch-and-bound partitions
+    # only the empty set; alpha = n - mu by Koenig's theorem.
+    seen = []
+    partition = solvers._clique_partition
+
+    def recording_partition(adj, cand):
+        seen.append(cand)
+        return partition(adj, cand)
+
+    monkeypatch.setattr(solvers, "_clique_partition", recording_partition)
+    rng = random.Random(64)
+    forests = [Graph.from_edges(12, []), star_graph(20), path_graph(33)]
+    forests += [random_tree(n, n) for n in range(1, 13)]
+    for n in (16, 40, 64):
+        for s in range(3):
+            t = random_tree(n, s)
+            forests.append(t)
+            kept = [e for e in t.edges() if rng.random() < 0.7]
+            forests.append(Graph.from_edges(n, kept))
+    for f in forests:
+        size, witness = _alpha_mask(f.adj, f.full_mask(), 0, f.n)
+        assert size == f.n - matching_number(f) == witness.bit_count()
+        assert is_stable_set(f, bit_indices(witness))
+        if f.n <= 12:
+            assert size == oracle_alpha(f)
+    assert set(seen) == {0}
 
 
 def _degree_branching_alpha(adj: tuple[int, ...], mask: int) -> int:
@@ -144,7 +204,7 @@ def test_stability_number_matches_the_search_it_replaced():
         g = random_graph(rng, rng.randint(0, 16), rng.random())
         for h in (g, square(g)):
             for m in (h.full_mask(), rng.getrandbits(h.n)):
-                assert _alpha_mask(h.adj, m) == _degree_branching_alpha(h.adj, m)
+                assert _alpha_mask(h.adj, m, 0, h.n)[0] == _degree_branching_alpha(h.adj, m)
                 assert len(_clique_partition(h.adj, m)) == _first_fit_clique_count(h.adj, m)
 
 
