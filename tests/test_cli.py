@@ -386,6 +386,57 @@ def test_generate_bad_spec(capsys):
     assert code == 2 and "error: corona requires --base FAMILY PARAMS..." in err
 
 
+# family, extra generate options, graph6 of the graph
+FAMILY_SPECS = [
+    (["path", "5"], [], "DhC"),
+    (["cycle", "6"], [], "EhEG"),
+    (["complete", "4"], [], "C~"),
+    (["star", "3"], [], "Cs"),
+    (["complete-bipartite", "2", "3"], [], "D]o"),
+    (["random-tree", "9"], ["--seed", "4"], "HKS?HD?"),
+    (["random-connected", "10"], ["--seed", "2"], "IsHa?O?AG"),
+    (["named", "diamond"], [], "Cn"),
+    (["corona"], ["--base", "cycle", "5"], "IheA@?OA?"),
+]
+
+# family, extra generate options, the error generate reports
+FAMILY_ERRORS = [
+    (["heptagon", "7"], [], "unknown family 'heptagon'"),
+    (["cycle", "two"], [], "non-integer family parameter in ['two']"),
+    (["complete-bipartite", "3"], [],
+     "family 'complete_bipartite' expects 2 integer parameter(s)"),
+    (["random-tree", "5"], [], "family 'random_tree' requires --seed"),
+    (["random-connected", "5", "x"], [], "family 'random_connected' requires --seed"),
+    (["named"], [], "named family expects exactly one fixture name"),
+    (["named", "diamond", "k3_plus_e"], [], "named family expects exactly one fixture name"),
+    (["corona"], ["--base", "random-tree", "4"], "family 'random_tree' requires --seed"),
+    (["corona"], [], "corona requires --base FAMILY PARAMS..."),
+    (["corona"], ["--base", "corona"], "corona requires --base FAMILY PARAMS..."),
+]
+
+
+def _verify_argv(family, options):
+    # generate's --base is verify's --corona-base
+    options = ["--corona-base" if o == "--base" else o for o in options]
+    return ["verify", "--family", *family, *options, "--suite", "chain"]
+
+
+def test_family_specs_parse_to_their_graphs_or_errors(capsys):
+    for family, options, graph6 in FAMILY_SPECS:
+        assert run_cli(capsys, "generate", *family, *options) == (0, graph6 + "\n", ""), family
+        code, out, err = run_cli(capsys, *_verify_argv(family, options))
+        gid = "corona(cycle 5)" if family == ["corona"] else " ".join(family)
+        assert (code, err) == (0, ""), family
+        assert json.loads(out)["corpus"] == {"mode": "family", "spec": gid}
+    for family, options, message in FAMILY_ERRORS:
+        assert run_cli(capsys, "generate", *family, *options) == (
+            2, "", f"error: {message}\n"), family
+        message = message.replace("corona requires --base",
+                                  "--family corona requires --corona-base")
+        assert run_cli(capsys, *_verify_argv(family, options)) == (
+            2, "", f"error: {message}\n"), family
+
+
 def test_canonical_command(capsys, tmp_path):
     from oracles import permuted
 
