@@ -27,8 +27,6 @@ from .classify import (
 from .errors import CapExceededError, InternalCheckError, ParseError
 from .generate import (
     FIXTURE_NAMES,
-    Family,
-    FamilySpec,
     canonical_graph,
     canonical_graph6,
     complete_bipartite_graph,
@@ -36,7 +34,6 @@ from .generate import (
     corona_with_k1,
     cycle_graph,
     enumerate_corpus,
-    make_family,
     named_fixture,
     path_graph,
     prufer_to_tree,
@@ -86,7 +83,6 @@ from .solvers import (
     clique_cover,
     clique_cover_number,
     domination_number,
-    enumerate_maximal_stable_sets,
     enumerate_maximum_stable_sets,
     independent_domination_number,
     invariant_chain,

@@ -21,13 +21,18 @@ from .errors import CapExceededError, ParseError
 from .generate import (
     EXHAUSTIVE_MAX_N,
     FIXTURE_NAMES,
-    Family,
-    FamilySpec,
     canonical_graph6,
+    complete_bipartite_graph,
+    complete_graph,
+    corona_with_k1,
+    cycle_graph,
     enumerate_corpus,
-    make_family,
     named_fixture,
+    path_graph,
+    random_connected_graph,
+    random_tree,
     sample_corpus,
+    star_graph,
 )
 from .graphs import (
     Graph,
@@ -48,14 +53,22 @@ EXIT_INPUT = 2
 EXIT_CAP = 3
 
 
-def _default_cap_n() -> int:
+def _check_caps(args) -> None:
+    """Refuse a cap below 0, naming the flag or variable that set it, and fill
+    in the solver cap from SQSTABLE_CAP_N or the default."""
+    source = "--cap-n"
     env = os.environ.get("SQSTABLE_CAP_N")
-    if env is not None:
+    if args.cap_n is None and env is not None:
+        source = "SQSTABLE_CAP_N"
         try:
-            return int(env)
+            args.cap_n = int(env)
         except ValueError:
             raise ParseError(f"SQSTABLE_CAP_N must be an integer, got {env!r}") from None
-    return DEFAULT_CAP_N
+    for name, cap in ((source, args.cap_n), ("--cap-omega", args.cap_omega)):
+        if cap is not None and cap < 0:
+            raise ParseError(f"{name} must be at least 0, got {cap}")
+    if args.cap_n is None:
+        args.cap_n = DEFAULT_CAP_N
 
 
 def _read_input(path: str) -> str:
@@ -151,41 +164,43 @@ def cmd_analyze(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _family_spec_from_args(tokens: list[str], seed, base, missing_base: str) -> FamilySpec:
-    """The family named by ``tokens``.  The corona takes its base family from
-    the ``base`` tokens, and refuses with ``missing_base`` when there are none."""
-    if not tokens:
-        raise ParseError("family specification is empty")
-    name = tokens[0].replace("-", "_")
-    params = tokens[1:]
+# name -> (generator, number of integer parameters, whether it takes --seed)
+_FAMILIES = {
+    "path": (path_graph, 1, False),
+    "cycle": (cycle_graph, 1, False),
+    "complete": (complete_graph, 1, False),
+    "star": (star_graph, 1, False),
+    "complete_bipartite": (complete_bipartite_graph, 2, False),
+    "random_tree": (random_tree, 1, True),
+    "random_connected": (random_connected_graph, 1, True),
+}
 
-    def ints(k: int) -> list[int]:
-        if len(params) != k:
-            raise ParseError(f"family {name!r} expects {k} integer parameter(s)")
-        try:
-            return [int(p) for p in params]
-        except ValueError:
-            raise ParseError(f"non-integer family parameter in {params}") from None
 
+def _family_graph(tokens: list[str], seed, base, missing_base: str) -> Graph:
+    """The graph of the family named by ``tokens``.  The corona takes its base
+    family from the ``base`` tokens, and refuses with ``missing_base`` when
+    there are none."""
+    name, params = tokens[0].replace("-", "_"), tokens[1:]
     if name == "corona":
         if not base:
             raise ParseError(missing_base)
-        inner = _family_spec_from_args(base, seed, None, missing_base)
-        return FamilySpec(Family.CORONA_K1, base=inner)
+        return corona_with_k1(_family_graph(base, seed, None, missing_base))
     if name == "named":
         if len(params) != 1:
             raise ParseError("named family expects exactly one fixture name")
-        return FamilySpec(Family.NAMED, name=params[0])
-    if name in ("path", "cycle", "complete", "star"):
-        return FamilySpec(Family(name), n=ints(1)[0])
-    if name == "complete_bipartite":
-        m, n = ints(2)
-        return FamilySpec(Family.COMPLETE_BIPARTITE, m=m, n=n)
-    if name in ("random_tree", "random_connected"):
-        if seed is None:
-            raise ParseError(f"family {name!r} requires --seed")
-        return FamilySpec(Family(name), n=ints(1)[0], seed=seed)
-    raise ParseError(f"unknown family {name!r}")
+        return named_fixture(params[0])
+    if name not in _FAMILIES:
+        raise ParseError(f"unknown family {name!r}")
+    generator, k, seeded = _FAMILIES[name]
+    if seeded and seed is None:
+        raise ParseError(f"family {name!r} requires --seed")
+    if len(params) != k:
+        raise ParseError(f"family {name!r} expects {k} integer parameter(s)")
+    try:
+        ints = [int(p) for p in params]
+    except ValueError:
+        raise ParseError(f"non-integer family parameter in {params}") from None
+    return generator(*ints, seed) if seeded else generator(*ints)
 
 
 def _corpus_from_args(args) -> tuple[list[tuple[str, Graph]], dict, bool]:
@@ -211,13 +226,12 @@ def _corpus_from_args(args) -> tuple[list[tuple[str, Graph]], dict, bool]:
         items = [(name, named_fixture(name)) for name in FIXTURE_NAMES]
         return items, {"mode": "fixtures"}, True
     if args.family:
-        spec = _family_spec_from_args(
-            args.family, args.seed, args.corona_base,
-            "--family corona requires --corona-base FAMILY PARAMS...")
+        g = _family_graph(args.family, args.seed, args.corona_base,
+                          "--family corona requires --corona-base FAMILY PARAMS...")
         gid = " ".join(args.family)
-        if spec.family is Family.CORONA_K1:
+        if args.family[0] == "corona":
             gid = "corona(" + " ".join(args.corona_base) + ")"
-        return [(gid, make_family(spec))], {"mode": "family", "spec": gid}, True
+        return [(gid, g)], {"mode": "family", "spec": gid}, True
     if args.sample is not None:
         if args.seed is None:
             raise ParseError("--sample requires --seed")
@@ -282,8 +296,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_generate(args) -> int:
-    g = make_family(_family_spec_from_args(
-        args.spec, args.seed, args.base, "corona requires --base FAMILY PARAMS..."))
+    g = _family_graph(args.spec, args.seed, args.base, "corona requires --base FAMILY PARAMS...")
     if args.format == "edges":
         sys.stdout.write(format_edge_list(g))
     else:
@@ -378,12 +391,9 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return EXIT_INPUT if exc.code not in (0, None) else EXIT_OK
     try:
-        if getattr(args, "cap_n", "absent") is None:
-            args.cap_n = _default_cap_n()
+        if hasattr(args, "cap_n"):
+            _check_caps(args)
         return args.fn(args)
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT

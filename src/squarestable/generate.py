@@ -7,38 +7,14 @@ and fixtures are frozen edge-list files shipped with the package.
 
 from __future__ import annotations
 
-import enum
 import heapq
 import random
-from dataclasses import dataclass
 from importlib import resources
-from typing import Iterator, Optional
+from typing import Iterator
 
 from .graphs import Graph, is_connected, parse_edge_list, to_graph6
 
 EXHAUSTIVE_MAX_N = 9
-
-
-class Family(enum.Enum):
-    PATH = "path"
-    CYCLE = "cycle"
-    COMPLETE = "complete"
-    STAR = "star"
-    COMPLETE_BIPARTITE = "complete_bipartite"
-    RANDOM_TREE = "random_tree"
-    RANDOM_CONNECTED = "random_connected"
-    CORONA_K1 = "corona_k1"
-    NAMED = "named"
-
-
-@dataclass(frozen=True)
-class FamilySpec:
-    family: Family
-    n: Optional[int] = None
-    m: Optional[int] = None
-    seed: Optional[int] = None
-    name: Optional[str] = None
-    base: Optional["FamilySpec"] = None
 
 
 # ---------------------------------------------------------------------------
@@ -114,25 +90,27 @@ def random_tree(n: int, seed: int) -> Graph:
     """Uniformly random labelled tree via a seeded random code sequence."""
     if n < 1:
         raise ValueError("tree needs n >= 1")
-    rng = random.Random(seed)
-    if n <= 2:
-        return path_graph(n)
-    return prufer_to_tree(tuple(rng.randrange(n) for _ in range(n - 2)), n)
+    return _random_tree(n, random.Random(seed))
 
 
 def random_connected_graph(n: int, seed: int) -> Graph:
     """Random spanning tree plus extra edges, deterministic for a seed."""
     if n < 1:
         raise ValueError("graph needs n >= 1")
-    rng = random.Random(seed)
-    g = _random_connected(n, rng)
-    return g
+    return _random_connected(n, random.Random(seed))
+
+
+def _random_tree(n: int, rng: random.Random) -> Graph:
+    """The random tree of both random families; draws nothing when n <= 2."""
+    if n <= 2:
+        return path_graph(n)
+    return prufer_to_tree(tuple(rng.randrange(n) for _ in range(n - 2)), n)
 
 
 def _random_connected(n: int, rng: random.Random) -> Graph:
+    tree = _random_tree(n, rng)
     if n <= 2:
-        return path_graph(n)
-    tree = prufer_to_tree(tuple(rng.randrange(n) for _ in range(n - 2)), n)
+        return tree
     p = rng.uniform(0.0, 0.5)
     edges = set(tree.edges())
     for i in range(n):
@@ -140,38 +118,6 @@ def _random_connected(n: int, rng: random.Random) -> Graph:
             if (i, j) not in edges and rng.random() < p:
                 edges.add((i, j))
     return Graph.from_edges(n, edges)
-
-
-def make_family(spec: FamilySpec) -> Graph:
-    """Dispatch a family specification to its generator."""
-    f = spec.family
-    if f is Family.PATH:
-        return path_graph(_req(spec.n, "n"))
-    if f is Family.CYCLE:
-        return cycle_graph(_req(spec.n, "n"))
-    if f is Family.COMPLETE:
-        return complete_graph(_req(spec.n, "n"))
-    if f is Family.STAR:
-        return star_graph(_req(spec.n, "n"))
-    if f is Family.COMPLETE_BIPARTITE:
-        return complete_bipartite_graph(_req(spec.m, "m"), _req(spec.n, "n"))
-    if f is Family.RANDOM_TREE:
-        return random_tree(_req(spec.n, "n"), _req(spec.seed, "seed"))
-    if f is Family.RANDOM_CONNECTED:
-        return random_connected_graph(_req(spec.n, "n"), _req(spec.seed, "seed"))
-    if f is Family.CORONA_K1:
-        if spec.base is None:
-            raise ValueError("corona needs a base family")
-        return corona_with_k1(make_family(spec.base))
-    if f is Family.NAMED:
-        return named_fixture(_req(spec.name, "name"))
-    raise ValueError(f"unknown family {f}")
-
-
-def _req(value, what):
-    if value is None:
-        raise ValueError(f"missing parameter {what}")
-    return value
 
 
 # ---------------------------------------------------------------------------

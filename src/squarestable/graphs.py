@@ -95,12 +95,6 @@ class Graph:
 
     # -- basic accessors ---------------------------------------------------
 
-    def vertices(self) -> range:
-        return range(self.n)
-
-    def neighbors(self, v: int) -> list[int]:
-        return bit_indices(self.adj[v])
-
     def degree(self, v: int) -> int:
         return self.adj[v].bit_count()
 

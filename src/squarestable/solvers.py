@@ -1,40 +1,39 @@
 """Exact exponential solvers for stability, domination and clique-cover
-invariants, plus exhaustive enumeration of stable-set families.
+invariants, plus exhaustive enumeration of the maximum stable sets.
 
 Everything here is exact: branch-and-bound for the optimisation numbers,
-full enumeration (pivoted Bron-Kerbosch, levelled branching) for the set
-families.  The stability number is MCQ (Tomita & Seki 2003) on the
-complement, with the bitset clique classes of BBMC (San Segundo et al. 2011);
-their count also bounds the enumeration of maximum stable sets.  It first
-folds away each vertex with at most one neighbour left, which lies in some
-maximum stable set, so forests and coronas need no branching.  A caller
-that asks whether alpha reaches a size gives a floor for the incumbent and
-a stop at which the search ends, and gets the set found as a witness.  The
-clique cover is a DSATUR colouring of the complement, stopped as soon as it
-meets the stability number.  Domination branches on the uncovered vertex
-with the fewest dominators, skips a dominator whose gain on the uncovered
-set lies inside that of one tried before it (the subsumption rule of van
-Rooij & Bodlaender 2011), and is bounded by the fewest largest gains that
-can cover the rest; the independent domination number (the smallest
-maximal stable set) is the same search with every choice drawn from the
-uncovered vertices, so it enumerates nothing.  It tries every such choice,
-since swapping one member for a dominator that subsumes it may break
+levelled branching for the family of maximum stable sets.  The stability
+number is MCQ (Tomita & Seki 2003) on the complement, with the bitset
+clique classes of BBMC (San Segundo et al. 2011); their count also bounds
+the enumeration of maximum stable sets.  It first folds away each vertex
+with at most one neighbour left, which lies in some maximum stable set, so
+forests and coronas need no branching.  A caller that asks whether alpha
+reaches a size gives a floor for the incumbent and a stop at which the
+search ends, and gets the set found as a witness.  The clique cover is a
+DSATUR colouring of the complement, stopped as soon as it meets the
+stability number.  Domination branches on the uncovered vertex with the
+fewest dominators, skips a dominator whose gain on the uncovered set lies
+inside that of one tried before it (the subsumption rule of van Rooij &
+Bodlaender 2011), and is bounded by the fewest largest gains that can cover
+the rest; the independent domination number (the smallest maximal stable
+set) is the same search with every choice drawn from the uncovered
+vertices, so it enumerates nothing.  It tries every such choice, since
+swapping one member for a dominator that subsumes it may break
 independence, and it stops at gamma, its lower bound.  Two caps guard
 against accidental blow-ups: a solver cap (default 64) on every number and
-set computed here, and an enumeration cap (default 24) only on the
-searches that list a family, which can be exponential even when the number
-is easy: the two enumerations here and ``classify.omega_is_matroid``'s scan
-of every stable set.
+set computed here, and an enumeration cap (default 24) only on the searches
+that list a family, which can be exponential even when the number is easy:
+the enumeration of maximum stable sets here and
+``classify.omega_is_matroid``'s scan of every stable set.
 
 Each value is computed once per graph.  A cap-free private helper computes
 it and keeps it for the last few graphs asked about, in a bounded store
 (``graphs._store``, which also keeps ``square`` and the maximum matching):
 the stability number, the lexicographically least maximum stable set, the
-family of maximum stable sets, the family of maximal stable sets, the
-domination and independent domination numbers and the minimum clique
-cover.  Each public function checks its cap before it reads the store, so a
-refused call is refused again every time, and hands out a fresh copy of a
-stored list.
+family of maximum stable sets, the domination and independent domination
+numbers and the minimum clique cover.  Each public function checks its cap
+before it reads the store, so a refused call is refused again every time,
+and hands out a fresh copy of a stored list.
 """
 
 from __future__ import annotations
@@ -242,52 +241,6 @@ def _omega(g: Graph) -> StableSetFamily:
     for s in results:
         core &= s
     return StableSetFamily(tuple(results), core)
-
-
-def enumerate_maximal_stable_sets(g: Graph, cap=None) -> list[frozenset[int]]:
-    """All inclusion-maximal stable sets, each exactly once, sorted."""
-    _check_cap(g.n, cap, DEFAULT_CAP_OMEGA, OMEGA_CAP)
-    return list(_maximal_stable_sets(g))
-
-
-@_store
-def _maximal_stable_sets(g: Graph) -> tuple[frozenset[int], ...]:
-    full = g.full_mask()
-    co_adj = tuple(full & ~m & ~(1 << v) for v, m in enumerate(g.adj))
-    return tuple(sorted((set_of(m) for m in _bron_kerbosch(co_adj, full)), key=sorted))
-
-
-def _bron_kerbosch(adj: tuple[int, ...], full: int) -> list[int]:
-    results: list[int] = []
-    if not full:
-        results.append(0)
-        return results
-
-    def bk(r: int, p: int, x: int) -> None:
-        if not p and not x:
-            results.append(r)
-            return
-        # pivot on the vertex covering most of p
-        pivot, best = -1, -1
-        mm = p | x
-        while mm:
-            b = mm & -mm
-            u = b.bit_length() - 1
-            c = (p & adj[u]).bit_count()
-            if c > best:
-                pivot, best = u, c
-            mm ^= b
-        ext = p & ~adj[pivot]
-        while ext:
-            b = ext & -ext
-            ext ^= b
-            v = b.bit_length() - 1
-            bk(r | b, p & adj[v], x & adj[v])
-            p &= ~b
-            x |= b
-
-    bk(0, full, 0)
-    return results
 
 
 # ---------------------------------------------------------------------------

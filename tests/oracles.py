@@ -2,7 +2,9 @@
 
 Everything here is a direct transcription of a definition: subset scans,
 subset-DP, Floyd-Warshall.  Slow on purpose; used only to cross-check the
-real solvers on small graphs.
+real solvers on small graphs.  ``bron_kerbosch`` is the fast exception: the
+maximal cliques, and through the complement the maximal stable sets, of
+graphs of 20-30 vertices, itself checked against the subset scan.
 
 Most definitional routes of the class predicates at the end are the
 exception: they read the library's exact alpha, its family of maximum
@@ -73,6 +75,46 @@ def oracle_maximal_stable_sets(g: Graph) -> list[frozenset]:
         if not addable:
             out.append(frozenset(bit_indices(m)))
     return sorted(out, key=sorted)
+
+
+def bron_kerbosch(adj, full: int) -> list[int]:
+    """Every maximal clique, as a mask, of the graph on the vertices of
+    ``full`` with adjacency masks ``adj``: Bron-Kerbosch, pivoting on the
+    vertex with the most neighbours among the candidates."""
+    results: list[int] = []
+
+    def bk(r: int, p: int, x: int) -> None:
+        if not p and not x:
+            results.append(r)
+            return
+        pivot, best = -1, -1
+        mm = p | x
+        while mm:
+            b = mm & -mm
+            u = b.bit_length() - 1
+            c = (p & adj[u]).bit_count()
+            if c > best:
+                pivot, best = u, c
+            mm ^= b
+        ext = p & ~adj[pivot]
+        while ext:
+            b = ext & -ext
+            ext ^= b
+            v = b.bit_length() - 1
+            bk(r | b, p & adj[v], x & adj[v])
+            p &= ~b
+            x |= b
+
+    bk(0, full, 0)
+    return results
+
+
+def maximal_stable_sets(g: Graph) -> list[frozenset]:
+    """Every maximal stable set, sorted: the maximal cliques of the
+    complement, by ``bron_kerbosch``.  Fast enough for 30 vertices."""
+    full = g.full_mask()
+    co_adj = [full & ~m & ~(1 << v) for v, m in enumerate(g.adj)]
+    return sorted((frozenset(bit_indices(m)) for m in bron_kerbosch(co_adj, full)), key=sorted)
 
 
 def oracle_idom(g: Graph) -> int:
@@ -338,21 +380,10 @@ def induced_perfect_matching_by_enumeration(g: Graph) -> bool:
 
 def simplexes_by_maximal_cliques(g: Graph) -> list[tuple[frozenset, frozenset]]:
     """Every maximal clique that holds a simplicial vertex, with those
-    vertices, sorted by clique: the maximal cliques come from a plain
-    Bron-Kerbosch search, and a vertex is simplicial when its neighbourhood
-    is a clique."""
-    cliques = []
-
-    def bk(r: int, p: int, x: int) -> None:
-        if not p and not x:
-            cliques.append(r)
-            return
-        for v in bit_indices(p):
-            bk(r | 1 << v, p & g.adj[v], x & g.adj[v])
-            p &= ~(1 << v)
-            x |= 1 << v
-
-    bk(0, g.full_mask(), 0)
+    vertices, sorted by clique: the maximal cliques come from
+    ``bron_kerbosch``, and a vertex is simplicial when its neighbourhood is a
+    clique."""
+    cliques = bron_kerbosch(g.adj, g.full_mask())
     simplicial = mask_of(v for v in range(g.n) if _is_clique_mask(g, g.adj[v]))
     out = [
         (frozenset(bit_indices(c)), frozenset(bit_indices(c & simplicial)))

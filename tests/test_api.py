@@ -10,6 +10,7 @@ def test_all_lists_public_names_and_no_submodules():
     assert exported.isdisjoint({
         "errors", "generate", "graphs", "matchings", "solvers", "verify",
         "berge_check", "verify_inequality_chain",
+        "Family", "FamilySpec", "make_family", "enumerate_maximal_stable_sets",
     })
     # ``classify`` names both a submodule and its main function; the function wins
     assert "classify" in exported and callable(squarestable.classify)

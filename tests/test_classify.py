@@ -38,7 +38,6 @@ from squarestable.generate import (
 )
 from squarestable.graphs import Graph, distance_matrix, isolated_vertices, square
 from squarestable.solvers import (
-    enumerate_maximal_stable_sets,
     enumerate_maximum_stable_sets,
     independent_domination_number,
     maximum_stable_set,
@@ -47,6 +46,7 @@ from oracles import (
     alpha_minus_by_edge_deletion,
     alpha_minus_by_omega_neighbourhoods,
     alpha_plus_by_edge_addition,
+    maximal_stable_sets,
     omega_core_by_intersection,
     oracle_idom,
     oracle_omega,
@@ -104,13 +104,13 @@ def test_well_covered_isolated_vertex_reported_distinctly():
     assert not is_well_covered(complete_graph(1))
 
 
-def _counterexample_by_enumeration(g, cap):
+def _counterexample_by_enumeration(g):
     # the route the search replaced: the first maximal stable set, in sorted
     # order, that is smaller than the largest
     iso = isolated_vertices(g)
     if iso:
         return ("isolated_vertex", min(iso))
-    sets = enumerate_maximal_stable_sets(g, cap)
+    sets = maximal_stable_sets(g)
     alpha = max(len(s) for s in sets)
     return next((("non_maximum_maximal", s) for s in sets if len(s) < alpha), None)
 
@@ -120,7 +120,7 @@ def test_well_covered_counterexample_matches_the_enumeration_route():
     kinds = {}
     for g in corpus:
         for h in (g, square(g), corona_with_k1(g)):
-            expected = _counterexample_by_enumeration(h, 28)
+            expected = _counterexample_by_enumeration(h)
             assert well_covered_counterexample(h, 28) == expected, h
             assert is_well_covered(h, 28) == (expected is None), h
             kind = expected and expected[0]
@@ -134,7 +134,7 @@ def test_well_covered_checks_the_solver_cap_after_isolated_vertices():
     assert is_well_covered(g) is False
     kind, evidence = well_covered_counterexample(g)
     assert kind == "non_maximum_maximal" and len(evidence) < 15
-    assert evidence in enumerate_maximal_stable_sets(g, cap=30)
+    assert evidence in maximal_stable_sets(g)
     for predicate in (is_well_covered, well_covered_counterexample):
         with pytest.raises(CapExceededError, match=r"exact solver cap exceeded \(30 > 29\)"):
             predicate(g, cap=29)

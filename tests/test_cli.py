@@ -91,7 +91,7 @@ def test_analyze_refuses_before_any_search(capsys, tmp_path):
     path = tmp_path / "corona.g6"
     path.write_text(to_graph6(g) + "\n")
     helpers = (graphs._square, solvers._alpha, solvers._least_maximum_stable_set, solvers._omega,
-               solvers._maximal_stable_sets, solvers._gamma, solvers._idom, solvers._cover)
+               solvers._gamma, solvers._idom, solvers._cover)
     misses = [h.cache_info().misses for h in helpers]
     code, out, err = run_cli(capsys, "analyze", "--cap-n", "47", str(path))
     assert (code, out, err) == (3, "", "error: exact solver cap exceeded (48 > 47)\n")
@@ -145,6 +145,28 @@ def test_analyze_env_cap(capsys, tmp_path, monkeypatch):
     monkeypatch.setenv("SQSTABLE_CAP_N", "5")
     code, out, err = run_cli(capsys, "analyze", str(path))
     assert code == 3
+
+
+def test_negative_caps_are_input_errors(capsys, tmp_path, monkeypatch):
+    path = tmp_path / "c5.g6"
+    path.write_text(to_graph6(cycle_graph(5)) + "\n")
+    family = ("verify", "--family", "cycle", "5")
+    cases = [
+        (("analyze", "--cap-n", "-1", str(path)), "--cap-n must be at least 0, got -1"),
+        (("analyze", "--omega", "--cap-omega", "-2", str(path)),
+         "--cap-omega must be at least 0, got -2"),
+        (family + ("--cap-n", "-3"), "--cap-n must be at least 0, got -3"),
+        (family + ("--cap-omega", "-1"), "--cap-omega must be at least 0, got -1"),
+    ]
+    for argv, message in cases:
+        assert run_cli(capsys, *argv) == (2, "", f"error: {message}\n"), argv
+    monkeypatch.setenv("SQSTABLE_CAP_N", "-2")
+    for argv in (("analyze", str(path)), family):
+        assert run_cli(capsys, *argv) == (
+            2, "", "error: SQSTABLE_CAP_N must be at least 0, got -2\n"), argv
+    # a flag overrides the variable, and a cap of 0 refuses every vertex
+    assert run_cli(capsys, "analyze", "--cap-n", "0", str(path)) == (
+        3, "", "error: exact solver cap exceeded (5 > 0)\n")
 
 
 def test_analyze_omega_and_square(capsys, tmp_path):

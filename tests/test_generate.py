@@ -5,8 +5,6 @@ import pytest
 from squarestable.classify import is_square_stable
 from squarestable.generate import (
     FIXTURE_NAMES,
-    Family,
-    FamilySpec,
     canonical_graph,
     canonical_graph6,
     complete_bipartite_graph,
@@ -14,7 +12,6 @@ from squarestable.generate import (
     corona_with_k1,
     cycle_graph,
     enumerate_corpus,
-    make_family,
     named_fixture,
     path_graph,
     prufer_to_tree,
@@ -77,15 +74,6 @@ def test_prufer_decoding():
     assert prufer_to_tree((1, 1), 4).edges() == [(0, 1), (1, 2), (1, 3)]
     assert prufer_to_tree((), 2) == path_graph(2)
     assert prufer_to_tree((), 1).n == 1
-
-
-def test_make_family_dispatch():
-    assert make_family(FamilySpec(Family.CYCLE, n=12)) == cycle_graph(12)
-    corona = FamilySpec(Family.CORONA_K1, base=FamilySpec(Family.CYCLE, n=5))
-    assert make_family(corona).n == 10
-    assert make_family(FamilySpec(Family.NAMED, name="diamond")).edge_count == 5
-    with pytest.raises(ValueError):
-        make_family(FamilySpec(Family.PATH))
 
 
 # ---------------------------------------------------------------------------

@@ -23,7 +23,6 @@ from squarestable.solvers import (
     clique_cover,
     clique_cover_number,
     domination_number,
-    enumerate_maximal_stable_sets,
     enumerate_maximum_stable_sets,
     independent_domination_number,
     invariant_chain,
@@ -31,6 +30,7 @@ from squarestable.solvers import (
     stability_number,
 )
 from oracles import (
+    maximal_stable_sets,
     oracle_alpha,
     oracle_gamma,
     oracle_idom,
@@ -239,20 +239,10 @@ def test_omega_matches_oracle_and_is_sorted(g):
     assert [sorted(s) for s in fam.sets] == sorted([sorted(s) for s in fam.sets])
 
 
-def test_maximal_stable_sets_examples():
-    assert enumerate_maximal_stable_sets(path_graph(3)) == [
-        frozenset({0, 2}), frozenset({1}),
-    ]
-    assert enumerate_maximal_stable_sets(complete_graph(3)) == [
-        frozenset({0}), frozenset({1}), frozenset({2}),
-    ]
-    c5 = enumerate_maximal_stable_sets(cycle_graph(5))
-    assert len(c5) == 5 and all(len(s) == 2 for s in c5)
-
-
 @given(graphs(max_n=7))
 def test_maximal_stable_sets_match_oracle(g):
-    assert enumerate_maximal_stable_sets(g) == oracle_maximal_stable_sets(g)
+    # the Bron-Kerbosch reference of the larger tests against the subset scan
+    assert maximal_stable_sets(g) == oracle_maximal_stable_sets(g)
 
 
 @given(graphs(max_n=7))
@@ -294,7 +284,7 @@ def test_independent_domination_is_the_smallest_maximal_stable_set():
     inputs += [random_graph(rng, rng.randint(0, 20), rng.random()) for _ in range(60)]
     for g in inputs:
         for h in (g, square(g)):
-            smallest = min(len(s) for s in enumerate_maximal_stable_sets(h))
+            smallest = min(len(s) for s in maximal_stable_sets(h))
             assert independent_domination_number(h) == smallest, h
 
 
@@ -614,7 +604,7 @@ def test_stability_number_agrees_with_maximal_enumeration():
     for _ in range(30):
         g = random_graph(rng, rng.randint(1, 9), rng.random())
         assert stability_number(g) == max(
-            len(s) for s in enumerate_maximal_stable_sets(g)
+            len(s) for s in maximal_stable_sets(g)
         )
 
 
@@ -641,7 +631,6 @@ _STORED_SOLVERS = (
     stability_number,
     maximum_stable_set,
     enumerate_maximum_stable_sets,
-    enumerate_maximal_stable_sets,
     independent_domination_number,
     domination_number,
     clique_cover,
@@ -662,11 +651,10 @@ def test_a_stored_value_is_still_refused_above_the_cap():
 
 def test_stored_lists_are_handed_out_as_copies():
     g = cycle_graph(7)
-    cover, maximal = clique_cover(g), enumerate_maximal_stable_sets(g)
-    expected = (list(cover), list(maximal))
+    cover = clique_cover(g)
+    expected = list(cover)
     cover.clear()
-    maximal.append(frozenset())
-    assert (clique_cover(g), enumerate_maximal_stable_sets(g)) == expected
+    assert clique_cover(g) == expected
 
 
 def test_equal_graphs_built_apart_give_equal_results():
