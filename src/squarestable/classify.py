@@ -199,14 +199,14 @@ def simplicial_vertices(g: Graph) -> frozenset[int]:
     """All vertices whose open neighbourhood induces a clique (isolated
     vertices qualify vacuously)."""
     out = []
-    for v in range(g.n):
-        m = g.adj[v]
-        ok = True
-        for u in bit_indices(m):
-            if m & ~(1 << u) & ~g.adj[u]:
-                ok = False
+    for v, m in enumerate(g.adj):
+        mm = m
+        while mm:
+            b = mm & -mm
+            if m & ~b & ~g.adj[b.bit_length() - 1]:
                 break
-        if ok:
+            mm ^= b
+        else:
             out.append(v)
     return frozenset(out)
 

@@ -176,24 +176,33 @@ _FAMILIES = {
 }
 
 
-def _family_graph(tokens: list[str], seed, base, missing_base: str) -> Graph:
+def _family_graph(tokens: list[str], seed, base, base_flag: str, missing_base: str) -> Graph:
     """The graph of the family named by ``tokens``.  The corona takes its base
-    family from the ``base`` tokens, and refuses with ``missing_base`` when
-    there are none."""
+    family from the ``base`` tokens, given by ``base_flag``, and refuses with
+    ``missing_base`` when there are none.  A parameter, base or seed that the
+    family does not use is refused, naming it."""
     name, params = tokens[0].replace("-", "_"), tokens[1:]
     if name == "corona":
+        if params:
+            raise ParseError(f"family 'corona' takes no parameter, got {params}")
         if not base:
             raise ParseError(missing_base)
-        return corona_with_k1(_family_graph(base, seed, None, missing_base))
+        return corona_with_k1(_family_graph(base, seed, None, base_flag, missing_base))
+    if name != "named" and name not in _FAMILIES:
+        raise ParseError(f"unknown family {name!r}")
+    if base is not None:
+        raise ParseError(f"{base_flag} is used only by corona, not by family {name!r}")
     if name == "named":
+        if seed is not None:
+            raise ParseError("named family takes no --seed")
         if len(params) != 1:
             raise ParseError("named family expects exactly one fixture name")
         return named_fixture(params[0])
-    if name not in _FAMILIES:
-        raise ParseError(f"unknown family {name!r}")
     generator, k, seeded = _FAMILIES[name]
     if seeded and seed is None:
         raise ParseError(f"family {name!r} requires --seed")
+    if seed is not None and not seeded:
+        raise ParseError(f"family {name!r} takes no --seed")
     if len(params) != k:
         raise ParseError(f"family {name!r} expects {k} integer parameter(s)")
     try:
@@ -226,7 +235,7 @@ def _corpus_from_args(args) -> tuple[list[tuple[str, Graph]], dict, bool]:
         items = [(name, named_fixture(name)) for name in FIXTURE_NAMES]
         return items, {"mode": "fixtures"}, True
     if args.family:
-        g = _family_graph(args.family, args.seed, args.corona_base,
+        g = _family_graph(args.family, args.seed, args.corona_base, "--corona-base",
                           "--family corona requires --corona-base FAMILY PARAMS...")
         gid = " ".join(args.family)
         if args.family[0] == "corona":
@@ -296,7 +305,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_generate(args) -> int:
-    g = _family_graph(args.spec, args.seed, args.base, "corona requires --base FAMILY PARAMS...")
+    g = _family_graph(args.spec, args.seed, args.base, "--base",
+                      "corona requires --base FAMILY PARAMS...")
     if args.format == "edges":
         sys.stdout.write(format_edge_list(g))
     else:

@@ -3,7 +3,9 @@
 Adjacency is stored as one bitmask per vertex, which keeps every structural
 operation (square, distance, components, girth, chordality, induced
 subgraphs) a pure function of cheap integer arithmetic.  Graphs are safe to
-share across threads and usable as dict keys.
+share across threads and usable as dict keys.  Every graph is validated when
+it is built, and its hash is computed then, once: each stored value of a
+graph is looked up by that hash.
 """
 
 from __future__ import annotations
@@ -54,27 +56,46 @@ class Graph:
     """A finite, undirected, loopless graph without multiple edges.
 
     ``adj[v]`` is the bitmask of neighbours of ``v``.  The relation is kept
-    symmetric and irreflexive by construction; violating masks are rejected.
+    symmetric and irreflexive by construction; violating masks are rejected
+    with a ``ValueError`` naming the fault.  The hash is computed once, on
+    construction.
     """
 
     n: int
     adj: tuple[int, ...]
 
     def __post_init__(self):
-        if self.n < 0:
+        n, adj = self.n, self.adj
+        if n < 0:
             raise ValueError("vertex count must be non-negative")
-        if len(self.adj) != self.n:
+        if len(adj) != n:
             raise ValueError("adjacency length does not match vertex count")
-        full = (1 << self.n) - 1
-        for v, m in enumerate(self.adj):
+        # Each neighbour above a vertex must list it back.  The lower triangle
+        # then holds every mirrored bit, so it holds no other bit exactly when
+        # the degrees add up to twice the number of upper bits.
+        full = (1 << n) - 1
+        upper = 0
+        for v, m in enumerate(adj):
             if m >> v & 1:
                 raise ValueError(f"self-loop at vertex {v}")
             if m & ~full:
                 raise ValueError(f"neighbour of {v} out of range")
-        for v, m in enumerate(self.adj):
-            for u in bit_indices(m):
-                if not self.adj[u] >> v & 1:
+            m >>= v + 1
+            upper += m.bit_count()
+            while m:
+                b = m & -m
+                u = v + b.bit_length()
+                if not adj[u] >> v & 1:
                     raise ValueError(f"asymmetric adjacency between {u} and {v}")
+                m ^= b
+        if 2 * upper != sum(m.bit_count() for m in adj):
+            u, v = next((u, v) for v, m in enumerate(adj) for u in range(v)
+                        if m >> u & 1 and not adj[u] >> v & 1)
+            raise ValueError(f"asymmetric adjacency between {u} and {v}")
+        object.__setattr__(self, "_hash", hash((n, adj)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @staticmethod
     def from_edges(n: int, edges: Iterable[tuple[int, int]]) -> "Graph":
@@ -99,15 +120,19 @@ class Graph:
         return self.adj[v].bit_count()
 
     def has_edge(self, u: int, v: int) -> bool:
-        return bool(self.adj[u] >> v & 1) if 0 <= v < self.n else False
+        """True iff ``u`` and ``v`` are adjacent; False when either is not a
+        vertex."""
+        return 0 <= u < self.n and 0 <= v < self.n and bool(self.adj[u] >> v & 1)
 
     def edges(self) -> list[tuple[int, int]]:
         """All edges as (u, v) pairs with u < v, sorted."""
         out = []
-        for v in range(self.n):
-            m = self.adj[v] >> (v + 1) << (v + 1)
-            for u in bit_indices(m):
-                out.append((v, u))
+        for v, m in enumerate(self.adj):
+            m >>= v + 1
+            while m:
+                b = m & -m
+                out.append((v, v + b.bit_length()))
+                m ^= b
         return out
 
     @property
@@ -363,16 +388,23 @@ def induced_subgraph(g: Graph, vertices: Iterable[int]) -> tuple[Graph, tuple[in
     Returns the subgraph plus the remap record: ``remap[new] == old``.
     """
     vs = sorted(set(vertices))
+    keep = 0
     for v in vs:
         if not 0 <= v < g.n:
             raise ValueError(f"vertex {v} out of range")
-    index = {old: new for new, old in enumerate(vs)}
-    adj = [0] * len(vs)
-    for new, old in enumerate(vs):
-        m = g.adj[old]
-        for u in vs:
-            if m >> u & 1:
-                adj[new] |= 1 << index[u]
+        keep |= 1 << v
+    if len(vs) == g.n:
+        return g, tuple(vs)
+    # a kept neighbour u becomes vertex |kept vertices below u|
+    adj = []
+    for v in vs:
+        m = g.adj[v] & keep
+        row = 0
+        while m:
+            b = m & -m
+            row |= 1 << (keep & (b - 1)).bit_count()
+            m ^= b
+        adj.append(row)
     return Graph(len(vs), tuple(adj)), tuple(vs)
 
 
@@ -443,16 +475,21 @@ def perfect_elimination_ordering(g: Graph):
                 best_v, best_w = v, weight[v]
         visit_order.append(best_v)
         visited |= 1 << best_v
-        for u in bit_indices(g.adj[best_v] & ~visited):
-            weight[u] += 1
+        m = g.adj[best_v] & ~visited
+        while m:
+            b = m & -m
+            weight[b.bit_length() - 1] += 1
+            m ^= b
     elim = visit_order[::-1]
     remaining = g.full_mask()
     for v in elim:
         remaining &= ~(1 << v)
-        later = g.adj[v] & remaining
-        for a in bit_indices(later):
-            if later & ~(1 << a) & ~g.adj[a]:
+        later = m = g.adj[v] & remaining
+        while m:
+            b = m & -m
+            if later & ~b & ~g.adj[b.bit_length() - 1]:
                 return None
+            m ^= b
     return tuple(elim)
 
 

@@ -1,11 +1,12 @@
 """Exact exponential solvers for stability, domination and clique-cover
 invariants, plus exhaustive enumeration of the maximum stable sets.
 
-Everything here is exact: branch-and-bound for the optimisation numbers,
-levelled branching for the family of maximum stable sets.  The stability
-number is MCQ (Tomita & Seki 2003) on the complement, with the bitset
-clique classes of BBMC (San Segundo et al. 2011); their count also bounds
-the enumeration of maximum stable sets.  It first folds away each vertex
+Everything here is exact branch-and-bound.  The stability number is MCQ
+(Tomita & Seki 2003) on the complement, with the bitset clique classes of
+BBMC (San Segundo et al. 2011).  The enumeration of the maximum stable sets
+branches the same way, with one clique partition per node, cuts a class
+only when it cannot reach alpha, and sorts the sets it finds into
+lexicographic order.  The stability search first folds away each vertex
 with at most one neighbour left, which lies in some maximum stable set, so
 forests and coronas need no branching.  A caller that asks whether alpha
 reaches a size gives a floor for the incumbent and a stop at which the
@@ -218,29 +219,34 @@ def enumerate_maximum_stable_sets(g: Graph, cap=None) -> StableSetFamily:
 
 @_store
 def _omega(g: Graph) -> StableSetFamily:
+    # MCQ branching as in _alpha_mask, with one clique partition per node;
+    # a class is cut only when even size + class number falls short of alpha,
+    # so every maximum stable set is reached exactly once
     adj = g.adj
     alpha = _alpha(g)
-    results: list[frozenset[int]] = []
+    found: list[int] = []
 
-    def rec(chosen: list[int], cand: int, size: int) -> None:
+    def rec(cand: int, size: int, chosen: int) -> None:
         if size == alpha:
-            results.append(frozenset(chosen))
+            found.append(chosen)
             return
-        while cand:
-            if size + len(_clique_partition(adj, cand)) < alpha:
+        classes = _clique_partition(adj, cand)
+        for k in range(len(classes), 0, -1):
+            if size + k < alpha:
                 return
-            b = cand & -cand
-            cand ^= b
-            v = b.bit_length() - 1
-            chosen.append(v)
-            rec(chosen, cand & ~adj[v], size + 1)
-            chosen.pop()
+            cls = classes[k - 1]
+            while cls:
+                b = cls & -cls
+                cls ^= b
+                rec(cand & ~adj[b.bit_length() - 1] & ~b, size + 1, chosen | b)
+                cand ^= b
 
-    rec([], g.full_mask(), 0)
-    core = frozenset(range(g.n))
-    for s in results:
-        core &= s
-    return StableSetFamily(tuple(results), core)
+    rec(g.full_mask(), 0, 0)
+    core = g.full_mask()
+    for m in found:
+        core &= m
+    sets = sorted(bit_indices(m) for m in found)
+    return StableSetFamily(tuple(frozenset(s) for s in sets), set_of(core))
 
 
 # ---------------------------------------------------------------------------

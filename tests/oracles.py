@@ -286,6 +286,14 @@ def reference_parse_graph6(s: str) -> Graph:
     return Graph.from_edges(n, edges)
 
 
+def oracle_induced_subgraph(g: Graph, vertices) -> tuple[Graph, tuple[int, ...]]:
+    """The subgraph spanned by ``vertices`` by testing every pair of them."""
+    vs = sorted(set(vertices))
+    edges = [(i, j) for i in range(len(vs)) for j in range(i + 1, len(vs))
+             if g.adj[vs[i]] >> vs[j] & 1]
+    return Graph.from_edges(len(vs), edges), tuple(vs)
+
+
 def permuted(g: Graph, perm: tuple[int, ...]) -> Graph:
     """Relabel ``g`` by ``perm`` (old vertex v becomes perm[v])."""
     return Graph.from_edges(g.n, [(perm[u], perm[v]) for u, v in g.edges()])

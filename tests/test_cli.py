@@ -434,6 +434,12 @@ FAMILY_ERRORS = [
     (["corona"], ["--base", "random-tree", "4"], "family 'random_tree' requires --seed"),
     (["corona"], [], "corona requires --base FAMILY PARAMS..."),
     (["corona"], ["--base", "corona"], "corona requires --base FAMILY PARAMS..."),
+    # what a family does not use is refused, not dropped
+    (["corona", "7"], ["--base", "cycle", "5"], "family 'corona' takes no parameter, got ['7']"),
+    (["cycle", "5"], ["--base", "path", "3"], "--base is used only by corona, not by family 'cycle'"),
+    (["path", "3"], ["--seed", "5"], "family 'path' takes no --seed"),
+    (["named", "diamond"], ["--seed", "5"], "named family takes no --seed"),
+    (["corona"], ["--base", "cycle", "5", "--seed", "5"], "family 'cycle' takes no --seed"),
 ]
 
 
@@ -455,6 +461,7 @@ def test_family_specs_parse_to_their_graphs_or_errors(capsys):
             2, "", f"error: {message}\n"), family
         message = message.replace("corona requires --base",
                                   "--family corona requires --corona-base")
+        message = message.replace("--base is", "--corona-base is")
         assert run_cli(capsys, *_verify_argv(family, options)) == (
             2, "", f"error: {message}\n"), family
 

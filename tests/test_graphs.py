@@ -30,9 +30,11 @@ from squarestable.graphs import (
     symmetric_difference_subgraph,
     to_graph6,
 )
+from squarestable.matchings import is_valid_matching
 from oracles import (
     oracle_distances,
     oracle_girth,
+    oracle_induced_subgraph,
     oracle_is_chordal,
     permuted,
     reference_parse_graph6,
@@ -212,8 +214,19 @@ def test_induced_subgraph_examples():
     assert p3.edges() == [(0, 1), (1, 2)]
     assert remap == (0, 1, 2)
     g = DIAMOND
-    same, remap = induced_subgraph(g, range(4))
-    assert same == g
+    same, remap = induced_subgraph(g, [3, 1, 2, 0, 1])
+    assert same is g and remap == (0, 1, 2, 3)
+
+
+@given(graphs(max_n=9), st.data())
+def test_induced_subgraph_matches_the_pairwise_oracle(g, data):
+    everything = list(range(g.n))
+    some = st.lists(st.sampled_from(everything), max_size=2 * g.n) if g.n else st.just([])
+    vertices = data.draw(st.one_of(st.just([]), st.just(everything[::-1]), some))
+    assert induced_subgraph(g, vertices) == oracle_induced_subgraph(g, vertices)
+    for bad in (g.n, -1):
+        with pytest.raises(ValueError, match=f"vertex {bad} out of range"):
+            induced_subgraph(g, vertices + [bad])
 
 
 def test_symmetric_difference_subgraph():
@@ -284,12 +297,39 @@ def test_is_connected_and_bipartite():
 
 
 def test_graph_rejects_asymmetric_adjacency():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="asymmetric adjacency between 1 and 0"):
         Graph(2, (2, 0))
+    # seen only from the lower triangle: the degree sum must catch it
+    with pytest.raises(ValueError, match="asymmetric adjacency between 0 and 1"):
+        Graph(2, (0, 1))
+    with pytest.raises(ValueError, match="asymmetric adjacency between 0 and 2"):
+        Graph(3, (0b010, 0b101, 0b011))
     with pytest.raises(ValueError):
         Graph(1, (1,))
     with pytest.raises(ValueError):
         Graph.from_edges(2, [(0, 2)])
+
+
+@pytest.mark.parametrize("n, adj, message", [
+    (2, (0b100, 0), "neighbour of 0 out of range"),
+    (3, (0, 0b10000, 0), "neighbour of 1 out of range"),
+    (2, (-2, 0), "neighbour of 0 out of range"),
+    (3, (0, 0b010, 0), "self-loop at vertex 1"),
+    (2, (0,), "adjacency length does not match vertex count"),
+    (-1, (), "vertex count must be non-negative"),
+])
+def test_graph_rejects_loops_stray_bits_and_bad_sizes(n, adj, message):
+    with pytest.raises(ValueError, match=message):
+        Graph(n, adj)
+
+
+def test_has_edge_is_false_unless_both_endpoints_are_vertices():
+    p3 = path_graph(3)
+    assert p3.has_edge(0, 1) and p3.has_edge(1, 0) and not p3.has_edge(0, 2)
+    for u, v in [(-1, 1), (1, -1), (5, 1), (1, 5), (3, 0)]:
+        assert not p3.has_edge(u, v), (u, v)
+    assert not is_valid_matching(p3, [(-1, 1)])
+    assert not is_valid_matching(p3, [(2, 3)])
 
 
 @given(graphs(max_n=6), st.randoms(use_true_random=False))

@@ -661,7 +661,7 @@ def test_equal_graphs_built_apart_give_equal_results():
     for seed in range(6):
         g = random_connected_graph(11, seed)
         h = Graph.from_edges(g.n, reversed(g.edges()))
-        assert h == g and h is not g
+        assert h == g and h is not g and hash(h) == hash(g)
         for solve in _STORED_SOLVERS:
             assert solve(h) == solve(g), solve.__name__
         assert stability_number(h) == oracle_alpha(g)
