@@ -2,9 +2,10 @@
 over corpora, and generate family/fixture graphs.
 
 Exit codes are a stable contract: 0 ok, 1 theorem violation, 2 input error,
-3 solver-cap refusal.  JSON goes to stdout (schema key ``squarestable/1``),
-diagnostics to stderr.  The graph6 paths read and write one graph per line
-so the tool composes in shell pipelines.
+3 solver-cap refusal, 141 stdout closed before the output was written.  JSON
+goes to stdout (schema key ``squarestable/1``), diagnostics to stderr.  The
+graph6 paths read and write one graph per line so the tool composes in shell
+pipelines.
 """
 
 from __future__ import annotations
@@ -51,6 +52,7 @@ EXIT_OK = 0
 EXIT_VIOLATION = 1
 EXIT_INPUT = 2
 EXIT_CAP = 3
+EXIT_PIPE = 141  # 128 + SIGPIPE
 
 
 def _check_caps(args) -> None:
@@ -212,9 +214,32 @@ def _family_graph(tokens: list[str], seed, base, base_flag: str, missing_base: s
     return generator(*ints, seed) if seeded else generator(*ints)
 
 
+# corpus -> the verify options it reads, by argparse dest
+_CORPUS_OPTIONS = {
+    "exhaustive": ("include_disconnected",),
+    "fixtures": (),
+    "family": ("seed", "corona_base"),
+    "sample": ("seed", "max_n", "include_disconnected"),
+}
+
+
+def _given(value) -> bool:
+    # ``is``, not ``in (None, False)``: --seed 0 is given, and 0 == False
+    return value is not None and value is not False
+
+
 def _corpus_from_args(args) -> tuple[list[tuple[str, Graph]], dict, bool]:
     """Build (graph_id, graph) pairs, corpus metadata, and whether per-graph
-    details belong in the report."""
+    details belong in the report.  An option the chosen corpus does not read
+    is refused, naming it."""
+    for corpus, reads in _CORPUS_OPTIONS.items():
+        if not _given(getattr(args, corpus)):
+            continue
+        for dest in ("seed", "max_n", "corona_base", "include_disconnected"):
+            if _given(getattr(args, dest)) and dest not in reads:
+                users = " and ".join(f"--{c}" for c, r in _CORPUS_OPTIONS.items() if dest in r)
+                flag = "--" + dest.replace("_", "-")
+                raise ParseError(f"{flag} is used only by {users}, not by --{corpus}")
     if args.exhaustive is not None:
         if args.exhaustive < 1:
             raise ParseError(f"--exhaustive must be at least 1, got {args.exhaustive}")
@@ -246,6 +271,8 @@ def _corpus_from_args(args) -> tuple[list[tuple[str, Graph]], dict, bool]:
             raise ParseError("--sample requires --seed")
         if args.sample < 1:
             raise ParseError(f"--sample must be at least 1, got {args.sample}")
+        if args.max_n is None:
+            args.max_n = 12
         if args.max_n < 1:
             raise ParseError(f"--max-n must be at least 1, got {args.max_n}")
         items = [
@@ -361,7 +388,8 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="seeded random corpus of COUNT graphs")
     pv.add_argument("--corona-base", nargs="+", default=None, metavar="SPEC",
                     help="with --family corona: the base family")
-    pv.add_argument("--max-n", type=int, default=12, dest="max_n")
+    pv.add_argument("--max-n", type=int, default=None, dest="max_n",
+                    help="with --sample: the most vertices of a graph (default 12)")
     pv.add_argument("--seed", type=int, default=None)
     pv.add_argument("--suite", default="all",
                     help=f"comma-separated suites from: {', '.join(SUITE_NAMES)}, or 'all'")
@@ -413,7 +441,16 @@ def main(argv=None) -> int:
 
 
 def run() -> None:
-    raise SystemExit(main())
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed stdout early, as `| head` does.  Point stdout at
+        # devnull so the interpreter's last flush cannot fail again, and exit
+        # quietly with the status a shell gives a command killed by SIGPIPE.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = EXIT_PIPE
+    raise SystemExit(code)
 
 
 if __name__ == "__main__":

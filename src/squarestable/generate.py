@@ -151,10 +151,17 @@ def _least_columns(adj: list[int], best: list[int], first_only: bool) -> bool:
 
     Column k of a relabelling (v0, v1, ...) is the bit string of the
     adjacencies of v_k to v0..v_(k-1), v0 first; codes compare column by
-    column.  Backtracking extends a prefix of the relabelling by each unused
-    vertex whose column is at most ``best[k]``.  Of two unused twins (u and w
-    with N(u) - {w} == N(w) - {u}) only the smaller is tried: swapping them is
-    an automorphism fixing the prefix, so it leads to the same codes.
+    column, and ``best[k] == 1 << n`` marks a level not yet set.
+    Backtracking extends a prefix of the relabelling by one vertex per level.
+    A node decides its level for all unused vertices at once, with one mask
+    operation per prefix vertex, most significant first: ``eq`` is the set
+    whose column ties ``best[k]`` and ``less`` the set whose column falls
+    below it (every unused vertex, on an unset level).  Full mode then lowers
+    ``best[k]`` to the least column in ``less``, found the same way, before
+    it explores any child, so it recurses only into vertices whose column is
+    ``best[k]``.  Of two unused twins (u and w with N(u) - {w} == N(w) - {u})
+    only the smaller is tried: swapping them is an automorphism fixing the
+    prefix, so it leads to the same codes.
 
     With ``first_only`` the search stops at the first column below ``best``
     and returns True: ``best`` was not the least code.  Otherwise it returns
@@ -162,38 +169,67 @@ def _least_columns(adj: list[int], best: list[int], first_only: bool) -> bool:
     """
     n = len(adj)
     infinity = 1 << n
-    twins = [0] * n  # twins[w]: the twins of w smaller than w
-    for w in range(n):
-        for u in range(w):
-            if adj[u] & ~(1 << w) == adj[w] & ~(1 << u):
-                twins[w] |= 1 << u
-    perm: list[int] = []
+    # Twins share an open neighbourhood (non-adjacent) or a closed one
+    # (adjacent).  One dict holds both kinds of key: N(u) == N[w] would put w
+    # in N(u) and so u in N(w), making u its own neighbour.
+    classes: dict[int, int] = {}
+    for w, a in enumerate(adj):
+        bit = 1 << w
+        classes[a] = classes.get(a, 0) | bit
+        classes[a | bit] = classes.get(a | bit, 0) | bit
+    # twins[w]: the twins of w smaller than w
+    twins = [(classes[a] | classes[a | 1 << w]) & ((1 << w) - 1) for w, a in enumerate(adj)]
+    prefix: list[int] = []  # the adjacency masks of v0..v_(k-1)
 
-    def rec(used: int) -> bool:
-        k = len(perm)
-        for w in range(n):
-            if used >> w & 1 or twins[w] & ~used:
-                continue
-            aw = adj[w]
+    def rec(unused: int) -> bool:
+        k = len(prefix)
+        target = best[k]
+        if target == infinity:
+            eq, less = 0, unused
+        else:
+            eq, less = unused, 0
+            shift = k
+            for a in prefix:
+                shift -= 1
+                if target >> shift & 1:
+                    less |= eq & ~a
+                    eq &= a
+                else:
+                    eq &= ~a
+                if not eq:
+                    break
+        if less:
+            # twins share a column, so ``less`` holds a vertex that twin
+            # pruning keeps
+            if first_only:
+                return True
             col = 0
-            for p in perm:
-                col = (col << 1) | (aw >> p & 1)
-            if col > best[k]:
+            for a in prefix:
+                zeros = less & ~a
+                if zeros:
+                    less = zeros
+                    col <<= 1
+                else:
+                    col = col << 1 | 1
+            best[k] = col
+            best[k + 1:] = [infinity] * (n - k - 1)
+            eq = less
+        if k + 1 == n:
+            return False
+        while eq:
+            low = eq & -eq
+            eq ^= low
+            w = low.bit_length() - 1
+            if twins[w] & unused:
                 continue
-            if col < best[k]:
-                if first_only:
-                    return True
-                best[k] = col
-                best[k + 1:] = [infinity] * (n - k - 1)
-            if k + 1 < n:
-                perm.append(w)
-                stop = rec(used | 1 << w)
-                perm.pop()
-                if stop:
-                    return True
+            prefix.append(adj[w])
+            stop = rec(unused ^ low)
+            prefix.pop()
+            if stop:
+                return True
         return False
 
-    return rec(0)
+    return rec(infinity - 1)
 
 
 def _columns(adj: list[int]) -> list[int]:
@@ -211,10 +247,13 @@ def canonical_graph(g: Graph) -> Graph:
     """The canonically labelled copy of ``g``: the vertex relabelling whose
     column-by-column upper-triangle bit string is lexicographically minimal.
 
-    Found by the backtracking search of ``_least_columns``, which prunes by
-    columns and by twins; graphs with other large symmetries can still take
-    exponential time.  Column k depends only on the first k + 1 vertices, so
-    deleting the last vertex of a canonical graph leaves a canonical graph.
+    Found by the backtracking search of ``_least_columns``, which settles
+    each level's least column before it branches and tries one vertex of
+    each twin class.  It branches only on ties, so P14, C14 and the coronas
+    of K6 and K7 take well under a second, but symmetric graphs with many
+    tied prefixes that are not twins can still take exponential time.
+    Column k depends only on the first k + 1 vertices, so deleting the last
+    vertex of a canonical graph leaves a canonical graph.
     """
     n = g.n
     if n <= 1:

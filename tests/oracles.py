@@ -13,6 +13,9 @@ graphs, stable subsets and perfect matchings, so they are independent of
 the characterisations that ``classify`` and ``matchings`` compute, not of
 the solvers.  The simplexes by maximal cliques and P2 by
 stable subsets read only the adjacency.
+
+``oracle_least_columns`` is the plain canonical search that the
+bit-parallel one in ``generate`` replaced, kept as its cross-check.
 """
 
 from functools import lru_cache
@@ -315,6 +318,49 @@ def all_isomorphism_classes(n: int) -> set[str]:
                 best = key
         keys.add(best)
     return keys
+
+
+def oracle_least_columns(adj: list[int], best: list[int], first_only: bool) -> bool:
+    """The column-by-column backtracking that ``generate._least_columns``
+    replaced, with its contract: lower ``best`` in place to the least column
+    code of any relabelling, or with ``first_only`` return True at the first
+    column below ``best``.  Each node builds every unused vertex's column bit
+    by bit and recurses into a tie before it looks at the vertices after it;
+    twins are found by testing every pair."""
+    n = len(adj)
+    infinity = 1 << n
+    twins = [0] * n  # twins[w]: the twins of w smaller than w
+    for w in range(n):
+        for u in range(w):
+            if adj[u] & ~(1 << w) == adj[w] & ~(1 << u):
+                twins[w] |= 1 << u
+    perm: list[int] = []
+
+    def rec(used: int) -> bool:
+        k = len(perm)
+        for w in range(n):
+            if used >> w & 1 or twins[w] & ~used:
+                continue
+            aw = adj[w]
+            col = 0
+            for p in perm:
+                col = (col << 1) | (aw >> p & 1)
+            if col > best[k]:
+                continue
+            if col < best[k]:
+                if first_only:
+                    return True
+                best[k] = col
+                best[k + 1:] = [infinity] * (n - k - 1)
+            if k + 1 < n:
+                perm.append(w)
+                stop = rec(used | 1 << w)
+                perm.pop()
+                if stop:
+                    return True
+        return False
+
+    return rec(0)
 
 
 def random_graph(rng: random.Random, n: int, p: float) -> Graph:

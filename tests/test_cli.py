@@ -277,6 +277,42 @@ def test_verify_exhaustive_beyond_its_cap_points_to_sample(capsys):
     assert "--exhaustive is capped at 9 vertices" in err and "use --sample" in err
 
 
+# verify options, beyond the corpus flag, and the error that refuses them:
+# an option the chosen corpus does not read is refused, not dropped
+CORPUS_OPTION_ERRORS = [
+    (["--sample", "5", "--seed", "1", "--corona-base", "cycle", "5"],
+     "--corona-base is used only by --family, not by --sample"),
+    (["--exhaustive", "3", "--seed", "3"],
+     "--seed is used only by --family and --sample, not by --exhaustive"),
+    (["--family", "cycle", "5", "--max-n", "3"],
+     "--max-n is used only by --sample, not by --family"),
+    (["--exhaustive", "3", "--max-n", "12"],
+     "--max-n is used only by --sample, not by --exhaustive"),
+    (["--fixtures", "--seed", "0"],
+     "--seed is used only by --family and --sample, not by --fixtures"),
+    (["--fixtures", "--include-disconnected"],
+     "--include-disconnected is used only by --exhaustive and --sample, not by --fixtures"),
+    (["--family", "cycle", "5", "--include-disconnected"],
+     "--include-disconnected is used only by --exhaustive and --sample, not by --family"),
+]
+
+
+def test_verify_refuses_options_its_corpus_does_not_read(capsys):
+    for options, message in CORPUS_OPTION_ERRORS:
+        assert run_cli(capsys, "verify", *options, "--suite", "chain") == (
+            2, "", f"error: {message}\n"), options
+    # the options each corpus reads are still taken, and --max-n defaults to
+    # 12 for --sample
+    code, out, err = run_cli(capsys, "verify", "--sample", "3", "--seed", "2",
+                             "--include-disconnected", "--suite", "chain")
+    assert (code, err) == (0, "")
+    assert json.loads(out)["corpus"] == {"mode": "sample", "count": 3, "max_n": 12, "seed": 2}
+    code, out, err = run_cli(capsys, "verify", "--exhaustive", "3",
+                             "--include-disconnected", "--suite", "chain")
+    assert (code, err) == (0, "")
+    assert json.loads(out)["corpus"]["connected_only"] is False
+
+
 def test_verify_reports_violations_with_exit_1(capsys, monkeypatch):
     from squarestable.verify import RunReport, SuiteResult
 
@@ -341,6 +377,26 @@ def test_python_dash_m_runs_the_cli():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == to_graph6(cycle_graph(5)) + "\n"
+
+
+def test_closed_stdout_exits_141_quietly():
+    # The read end of the pipe is closed before the child starts, so its
+    # first write to stdout fails whenever it comes: at the final flush of a
+    # short report, or inside a print for a report longer than the buffer.
+    src = Path(cli.__file__).resolve().parents[1]
+    for argv in (["verify", "--sample", "5", "--seed", "1", "--suite", "chain"],
+                 ["verify", "--exhaustive", "5", "--details", "--suite", "chain"]):
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "squarestable", *argv],
+                stdout=write_end, stderr=subprocess.PIPE, text=True, timeout=60,
+                env=dict(os.environ, PYTHONPATH=str(src)),
+            )
+        finally:
+            os.close(write_end)
+        assert (proc.returncode, proc.stderr) == (141, ""), argv
 
 
 def test_one_parser_serves_every_command_of_a_process(capsys, tmp_path, monkeypatch):

@@ -1,7 +1,9 @@
+import random
 from collections import Counter
 
 import pytest
 
+from squarestable import generate
 from squarestable.classify import is_square_stable
 from squarestable.generate import (
     FIXTURE_NAMES,
@@ -20,9 +22,9 @@ from squarestable.generate import (
     sample_corpus,
     star_graph,
 )
-from squarestable.graphs import Graph, is_connected, is_tree, to_graph6
+from squarestable.graphs import Graph, is_connected, is_tree, parse_graph6, to_graph6
 from squarestable.matchings import pendant_perfect_matching
-from oracles import all_isomorphism_classes, permuted
+from oracles import all_isomorphism_classes, oracle_least_columns, permuted, random_graph
 
 # graphs up to isomorphism on 1..7 vertices, and connected ones
 ALL_COUNTS = [1, 2, 4, 11, 34, 156, 1044]
@@ -112,12 +114,33 @@ def test_canonical_graph_fixes_a_representative():
     assert canonical_graph6(g) == canonical_graph6(h)
 
 
+# twin-rich graphs, where the search skips all but the least of each unused
+# set of twins
+TWIN_RICH = [
+    Graph(7, (0,) * 7),
+    complete_graph(7),
+    star_graph(6),
+    star_graph(3),
+    complete_bipartite_graph(3, 4),
+    complete_bipartite_graph(2, 2),
+    Graph.from_edges(6, [(0, 1), (2, 3), (4, 5)]),
+    Graph.from_edges(7, [(0, 1), (0, 2), (0, 3), (1, 4), (1, 5), (1, 6)]),
+    Graph.from_edges(5, [(3, 4), (0, 3), (1, 4), (2, 4)]),
+]
+
+# canonical forms computed by the plain search that the bit-parallel one
+# replaced, which took 5.4, 2.6, 1.9 and 59 s on these graphs
+PINNED_FORMS = [
+    (path_graph(14), "M????CDA_gD?S?g??"),
+    (cycle_graph(14), "M????KID@OI?g?o??"),
+    (corona_with_k1(complete_graph(6)), "K???GSRGyFo^"),
+    (corona_with_k1(complete_graph(7)), "M????CDAWbcNO^_^_"),
+]
+
+
 def test_canonical_graph_is_the_minimum_over_relabellings():
     # explicit minimisation over all permutations, in the same column order
-    import random
     from itertools import permutations
-
-    from oracles import random_graph
 
     def column_key(g):
         cols = []
@@ -130,20 +153,7 @@ def test_canonical_graph_is_the_minimum_over_relabellings():
 
     rng = random.Random(161803)
     graphs = [random_graph(rng, rng.randint(1, 6), rng.random()) for _ in range(120)]
-    # twin-rich graphs, where the search skips all but the least of each
-    # unused set of twins
-    graphs += [
-        Graph(7, (0,) * 7),
-        complete_graph(7),
-        star_graph(6),
-        star_graph(3),
-        complete_bipartite_graph(3, 4),
-        complete_bipartite_graph(2, 2),
-        Graph.from_edges(6, [(0, 1), (2, 3), (4, 5)]),
-        Graph.from_edges(7, [(0, 1), (0, 2), (0, 3), (1, 4), (1, 5), (1, 6)]),
-        Graph.from_edges(5, [(3, 4), (0, 3), (1, 4), (2, 4)]),
-    ]
-    for g in graphs:
+    for g in graphs + TWIN_RICH:
         want = min(
             (permuted(g, perm) for perm in permutations(range(g.n))),
             key=column_key,
@@ -162,6 +172,62 @@ def test_canonical_graph_of_large_twin_classes_is_fast():
     sides_interleaved = permuted(complete_bipartite_graph(6, 6),
                                  (0, 2, 4, 6, 8, 10, 1, 3, 5, 7, 9, 11))
     assert canonical_graph(sides_interleaved) == complete_bipartite_graph(6, 6)
+
+
+def test_canonical_search_matches_the_plain_search():
+    # full mode lowers every level to the same least column as the oracle,
+    # including on graphs whose later vertices beat an earlier tie
+    rng = random.Random(4669)
+    graphs = [random_graph(rng, rng.randint(1, 10), rng.random()) for _ in range(150)]
+    graphs += TWIN_RICH + [path_graph(12), cycle_graph(12)]
+    for g in graphs:
+        want = [1 << g.n] * g.n
+        oracle_least_columns(list(g.adj), want, first_only=False)
+        got = [1 << g.n] * g.n
+        assert generate._least_columns(list(g.adj), got, first_only=False) is False
+        assert got == want, to_graph6(g)
+
+
+def test_canonicity_test_matches_the_plain_search_on_every_extension(monkeypatch):
+    # first-only mode gives the oracle's accept or reject answer for every
+    # extension that the orderly generation of the 6-vertex corpus tries
+    search = generate._least_columns
+    answers = []
+
+    def checked(adj, best, first_only):
+        want = oracle_least_columns(adj, list(best), first_only)
+        got = search(adj, best, first_only)
+        assert got == want, (adj, best)
+        answers.append(got)
+        return got
+
+    monkeypatch.setattr(generate, "_least_columns", checked)
+    corpus = list(generate.enumerate_corpus(6, connected_only=False))
+    assert len(corpus) == sum(ALL_COUNTS[:6])
+    # every graph above one vertex was accepted once; the rest were rejected
+    assert answers.count(False) == len(corpus) - 1 and True in answers
+
+
+def test_canonical_forms_of_symmetric_graphs_are_pinned():
+    rng = random.Random(1414)
+    for g, form in PINNED_FORMS:
+        perm = list(range(g.n))
+        rng.shuffle(perm)
+        assert canonical_graph6(g) == form
+        assert canonical_graph6(permuted(g, tuple(perm))) == form
+
+
+def test_pinned_forms_are_isomorphic_to_their_graphs():
+    nx = pytest.importorskip("networkx")
+
+    def to_nx(g):
+        h = nx.Graph()
+        h.add_nodes_from(range(g.n))
+        h.add_edges_from(g.edges())
+        return h
+
+    for g, form in PINNED_FORMS:
+        assert nx.is_isomorphic(to_nx(parse_graph6(form)), to_nx(g)), form
 
 
 def test_corpus_counts_match_known_values():
