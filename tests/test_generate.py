@@ -129,7 +129,8 @@ TWIN_RICH = [
 ]
 
 # canonical forms computed by the plain search that the bit-parallel one
-# replaced, which took 5.4, 2.6, 1.9 and 59 s on these graphs
+# replaced, which took 5.4, 2.6, 1.9 and 59 s on these graphs (2 cores,
+# CPython 3.11)
 PINNED_FORMS = [
     (path_graph(14), "M????CDA_gD?S?g??"),
     (cycle_graph(14), "M????KID@OI?g?o??"),
