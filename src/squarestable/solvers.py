@@ -12,7 +12,10 @@ forests and coronas need no branching.  A caller that asks whether alpha
 reaches a size gives a floor for the incumbent and a stop at which the
 search ends, and gets the set found as a witness.  The clique cover is a
 DSATUR colouring of the complement, stopped as soon as it meets the
-stability number.  Domination branches on the uncovered vertex with the
+stability number; it keeps each vertex's number of neighbouring classes in
+bit-sliced counters (one mask per bit of the count), so a ripple carry
+raises a count and one intersection per slice finds the most saturated
+vertices.  Domination branches on the uncovered vertex with the
 fewest dominators, skips a dominator whose gain on the uncovered set lies
 inside that of one tried before it (the subsumption rule of van Rooij &
 Bodlaender 2011), and is bounded by the fewest largest gains that can cover
@@ -349,12 +352,19 @@ def _domination_search(g: Graph, independent: bool, lower: int = 0) -> int:
     return best
 
 
-def _raised(levels: list[int], inc: int) -> list[int]:
-    # each vertex of inc gains a neighbour in one more class, so it moves up
-    # one level; the list is returned as it is when no vertex moves
+def _counted(counts: tuple[int, ...], inc: int) -> tuple[int, ...]:
+    # bit-sliced counters, least significant slice first (bit v of counts[j]
+    # is bit j of v's count): add one to each vertex of inc by a ripple carry
     if not inc:
-        return levels
-    return [levels[0] & ~inc] + [hi & ~inc | lo & inc for lo, hi in zip(levels, levels[1:])]
+        return counts
+    out = list(counts)
+    for j, sl in enumerate(counts):
+        out[j] = sl ^ inc
+        inc &= sl
+        if not inc:
+            return tuple(out)
+    out.append(inc)
+    return tuple(out)
 
 
 def _exact_coloring(adj: tuple[int, ...], n: int, clique_number) -> list[int]:
@@ -394,11 +404,12 @@ def _exact_coloring(adj: tuple[int, ...], n: int, clique_number) -> list[int]:
     classes: list[int] = []
     reach: list[int] = []  # reach[i]: the vertices adjacent to classes[i]
 
-    def rec(uncoloured: int, levels: list[int]) -> None:
+    def rec(uncoloured: int, counts: tuple[int, ...]) -> None:
         # DSATUR: colour next the vertex whose neighbours already use the most
         # distinct colours, ties broken by its degree among the uncoloured,
-        # then by the lowest index; levels[s] holds the uncoloured vertices
-        # with neighbours in exactly s classes
+        # then by the lowest index; keeping each slice of counts, from the
+        # highest down, that meets the candidates leaves the uncoloured
+        # vertices with the most neighbouring classes
         nonlocal best, best_k
         if len(classes) >= best_k:
             return
@@ -406,10 +417,10 @@ def _exact_coloring(adj: tuple[int, ...], n: int, clique_number) -> list[int]:
             best = classes.copy()
             best_k = len(classes)
             return
-        s = len(levels) - 1
-        while not levels[s]:
-            s -= 1
-        top = levels[s]
+        top = uncoloured
+        for sl in reversed(counts):
+            if top & sl:
+                top &= sl
         if top & (top - 1):
             v, most = -1, -1
             while top:
@@ -422,26 +433,24 @@ def _exact_coloring(adj: tuple[int, ...], n: int, clique_number) -> list[int]:
         else:
             v = top.bit_length() - 1
         bit = 1 << v
-        levels = levels.copy()
-        levels[s] &= ~bit
         rest = uncoloured & ~bit
         av = adj[v]
         for i, cl in enumerate(classes):
             if cl & av == 0:
                 r = reach[i]
                 classes[i], reach[i] = cl | bit, r | av
-                rec(rest, _raised(levels, av & rest & ~r))
+                rec(rest, _counted(counts, av & rest & ~r))
                 classes[i], reach[i] = cl, r
                 if best_k == lower:
                     return
         if len(classes) + 1 < best_k:
             classes.append(bit)
             reach.append(av)
-            rec(rest, _raised(levels + [0], av & rest))
+            rec(rest, _counted(counts, av & rest))
             classes.pop()
             reach.pop()
 
-    rec((1 << n) - 1, [(1 << n) - 1])
+    rec((1 << n) - 1, ())
     return best
 
 
