@@ -19,10 +19,11 @@ vertices.  Domination branches on the uncovered vertex with the
 fewest dominators, skips a dominator whose gain on the uncovered set lies
 inside that of one tried before it (the subsumption rule of van Rooij &
 Bodlaender 2011), and is bounded by the fewest largest gains that can cover
-the rest; the independent domination number (the smallest maximal stable
-set) is the same search with every choice drawn from the uncovered
-vertices, so it enumerates nothing.  It tries every such choice, since
-swapping one member for a dominator that subsumes it may break
+the rest; a node one member short of the best decides that member at once.
+The independent domination number (the smallest maximal stable set) is the
+same search with every choice drawn from the uncovered vertices, so it
+enumerates nothing.  It branches where it has the fewest choices and tries
+each, since swapping one member for a dominator that subsumes it may break
 independence, and it stops at gamma, its lower bound.  Two caps guard
 against accidental blow-ups: a solver cap (default 64) on every number and
 set computed here, and an enumeration cap (default 24) only on the searches
@@ -273,9 +274,12 @@ def domination_number(g: Graph, cap=None) -> int:
     gain lies inside the gain of one tried before it is skipped: any
     dominating set through it stays dominating, and no larger, when that one
     replaces it.  A node is pruned when even the largest gains need too many
-    further vertices to cover what is left.  ``independent_domination_number``
-    runs the same search without the skip, since the replacement may be
-    adjacent to a later member.
+    further vertices to cover what is left, and one short of the best it
+    takes the last member from the uncovered vertices' closed neighbourhoods.
+    ``independent_domination_number`` runs the same search without the skip,
+    since the replacement may be adjacent to a later member; its last member
+    must be uncovered, and it branches on the uncovered vertex with the
+    fewest uncovered closed neighbours, ties to the lowest index.
     """
     _check_cap(g.n, cap, DEFAULT_CAP_N, SOLVER_CAP)
     return _gamma(g)
@@ -309,38 +313,47 @@ def _domination_search(g: Graph, independent: bool, lower: int = 0) -> int:
     best = 0
     uncovered = full
     while uncovered:
-        gain, pick = -1, 0
-        for v in bit_indices(uncovered) if independent else vertices:
-            c = (closed[v] & uncovered).bit_count()
-            if c > gain:
-                gain, pick = c, v
-        uncovered &= ~closed[pick]
+        pool = bit_indices(uncovered) if independent else vertices
+        uncovered &= ~closed[max(pool, key=lambda v: (closed[v] & uncovered).bit_count())]
         best += 1
 
     def rec(uncovered: int, size: int) -> None:
         nonlocal best
-        if best <= lower:
-            return
         if not uncovered:
             if size < best:
                 best = size
             return
+        if best <= lower or size + 1 >= best:
+            return
+        if size + 2 == best:
+            # a last member must dominate every uncovered vertex (idom: be one)
+            common = uncovered if independent else full
+            rest = uncovered
+            while rest and common:
+                b = rest & -rest
+                rest ^= b
+                common &= closed[b.bit_length() - 1]
+            if common:
+                best = size + 1
+            return
         pool = bit_indices(uncovered) if independent else vertices
+        gains = [(closed[v] & uncovered).bit_count() for v in pool]
         # the fewest vertices whose largest gains add up to the uncovered count
         left = uncovered.bit_count()
         need = size
-        for c in sorted([(closed[v] & uncovered).bit_count() for v in pool], reverse=True):
+        for c in sorted(gains, reverse=True):
             need += 1
             left -= c
             if left <= 0 or need >= best:
                 break
         if need >= best:
             return
-        v = next(v for v in branch_order if uncovered >> v & 1)
-        # gamma skips a dominator whose gain lies inside the gain of one
-        # tried before it (see domination_number); idom cannot, since that
-        # swap may break independence
-        choices = closed[v] & uncovered if independent else closed[v]
+        # idom branches on the uncovered vertex with the fewest choices.  gamma
+        # skips a dominator whose gain lies inside the gain of one tried
+        # before it (see domination_number); idom cannot, since that swap may
+        # break independence
+        choices = (closed[pool[gains.index(min(gains))]] & uncovered if independent
+                   else closed[next(v for v in branch_order if uncovered >> v & 1)])
         kept: list[int] = []
         for m in sorted((closed[u] & uncovered for u in bit_indices(choices)),
                         key=lambda m: -m.bit_count()):

@@ -484,12 +484,14 @@ def run_suite(
     (order, graph_id) before checking, and each graph goes through the
     selected suites in the order of ``SUITE_NAMES``.  In strict mode a
     solver-cap refusal propagates; otherwise the graph counts as skipped for
-    that suite.
+    that suite.  An unknown suite, or one named twice, raises ``ValueError``.
     """
     chosen = list(suites)
-    for name in chosen:
+    for i, name in enumerate(chosen):
         if name not in _SUITES:
             raise ValueError(f"unknown suite {name!r}; known: {', '.join(SUITE_NAMES)}")
+        if name in chosen[:i]:
+            raise ValueError(f"suite {name!r} named twice")
     corpus = sorted(items, key=lambda item: (item[1].n, item[0]))
     results = {name: SuiteResult(name) for name in SUITE_NAMES if name in chosen}
 

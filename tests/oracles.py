@@ -15,7 +15,9 @@ the solvers.  The simplexes by maximal cliques and P2 by
 stable subsets read only the adjacency.
 
 ``oracle_least_columns`` is the plain canonical search that the
-bit-parallel one in ``generate`` replaced, kept as its cross-check.
+bit-parallel one in ``generate`` replaced, kept as its cross-check, and
+``oracle_graph_fault`` the plain walk over the adjacency that names the
+first fault ``Graph`` rejects.
 """
 
 from functools import lru_cache
@@ -361,6 +363,26 @@ def oracle_least_columns(adj: list[int], best: list[int], first_only: bool) -> b
         return False
 
     return rec(0)
+
+
+def oracle_graph_fault(n: int, rows) -> str | None:
+    """The message ``Graph(n, rows)`` raises, or None when the rows are a
+    graph: the vertices in order, each checked for a loop, a bit outside
+    0..n-1 and each neighbour above it that does not list it back; then the
+    first bit below the diagonal that is not mirrored."""
+    for v in range(n):
+        if rows[v] >> v & 1:
+            return f"self-loop at vertex {v}"
+        if not 0 <= rows[v] < 1 << n:
+            return f"neighbour of {v} out of range"
+        for u in range(v + 1, n):
+            if rows[v] >> u & 1 and not rows[u] >> v & 1:
+                return f"asymmetric adjacency between {u} and {v}"
+    for v in range(n):
+        for u in range(v):
+            if rows[v] >> u & 1 and not rows[u] >> v & 1:
+                return f"asymmetric adjacency between {u} and {v}"
+    return None
 
 
 def random_graph(rng: random.Random, n: int, p: float) -> Graph:

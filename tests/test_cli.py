@@ -256,6 +256,11 @@ def test_verify_suite_list_naming_no_suite_is_an_error(capsys):
     assert code == 2 and "--suite" in err and out == ""
 
 
+def test_verify_suite_named_twice_is_an_error(capsys):
+    assert run_cli(capsys, "verify", "--fixtures", "--suite", "chain,chain") == (
+        2, "", "error: suite 'chain' named twice\n")
+
+
 def test_verify_negative_sample_is_an_error(capsys):
     code, out, err = run_cli(capsys, "verify", "--sample", "-3", "--seed", "1")
     assert code == 2 and "--sample must be at least 1" in err and out == ""

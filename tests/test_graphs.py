@@ -34,6 +34,7 @@ from squarestable.matchings import is_valid_matching
 from oracles import (
     oracle_distances,
     oracle_girth,
+    oracle_graph_fault,
     oracle_induced_subgraph,
     oracle_is_chordal,
     permuted,
@@ -321,6 +322,53 @@ def test_graph_rejects_asymmetric_adjacency():
 def test_graph_rejects_loops_stray_bits_and_bad_sizes(n, adj, message):
     with pytest.raises(ValueError, match=message):
         Graph(n, adj)
+
+
+@st.composite
+def adjacency_rows(draw):
+    # a symmetric loopless matrix of 0..70 vertices (packed widths 8 to 128),
+    # then at most one corruption: a flipped bit above or below the diagonal,
+    # a bit on it, a bit at n..n+3, or a negative row
+    n = draw(st.integers(0, 70))
+    upper = draw(st.integers(0, (1 << n * (n - 1) // 2) - 1)) if n > 1 else 0
+    rows = [0] * n
+    for v in range(n):
+        for u in range(v + 1, n):
+            if upper & 1:
+                rows[v] |= 1 << u
+                rows[u] |= 1 << v
+            upper >>= 1
+    fault = draw(st.sampled_from(["none", "upper", "lower", "diagonal", "stray", "negative"]))
+    if n and fault != "none":
+        v = draw(st.integers(0, n - 1))
+        if fault in ("upper", "lower") and n > 1:
+            u = draw(st.integers(0, n - 2))
+            u += u >= v
+            lo, hi = sorted((u, v))
+            if fault == "upper":
+                rows[lo] ^= 1 << hi
+            else:
+                rows[hi] ^= 1 << lo
+        elif fault == "diagonal":
+            rows[v] ^= 1 << v
+        elif fault == "stray":
+            rows[v] ^= 1 << (n + draw(st.integers(0, 3)))
+        elif fault == "negative":
+            rows[v] = draw(st.integers(-(1 << n + 4), -1))
+    return n, tuple(rows)
+
+
+@given(adjacency_rows())
+@settings(max_examples=300)
+def test_graph_accepts_exactly_the_rows_the_walk_accepts(case):
+    n, rows = case
+    message = oracle_graph_fault(n, rows)
+    if message is None:
+        assert Graph(n, rows).adj == rows
+    else:
+        with pytest.raises(ValueError) as info:
+            Graph(n, rows)
+        assert str(info.value) == message
 
 
 def test_has_edge_is_false_unless_both_endpoints_are_vertices():

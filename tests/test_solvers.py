@@ -1,4 +1,5 @@
 import random
+import sys
 
 import pytest
 from hypothesis import example, given, settings
@@ -538,6 +539,117 @@ def _unpruned_domination(g: Graph) -> int:
 
     rec(g.full_mask(), 0)
     return best
+
+
+def _full_node_domination(g: Graph, independent: bool, lower: int = 0) -> int:
+    # the domination search before it decided the last member at once: every
+    # node that passes the bound sorts its gains and branches, and idom takes
+    # its branching vertex from the static fewest-dominator order
+    n = g.n
+    if n == 0:
+        return 0
+    closed = tuple(m | (1 << v) for v, m in enumerate(g.adj))
+    full = g.full_mask()
+    vertices = range(n)
+    branch_order = sorted(vertices, key=lambda v: (closed[v].bit_count(), v))
+    best = 0
+    uncovered = full
+    while uncovered:
+        gain, pick = -1, 0
+        for v in bit_indices(uncovered) if independent else vertices:
+            c = (closed[v] & uncovered).bit_count()
+            if c > gain:
+                gain, pick = c, v
+        uncovered &= ~closed[pick]
+        best += 1
+
+    def rec(uncovered: int, size: int) -> None:
+        nonlocal best
+        if best <= lower:
+            return
+        if not uncovered:
+            if size < best:
+                best = size
+            return
+        pool = bit_indices(uncovered) if independent else vertices
+        left = uncovered.bit_count()
+        need = size
+        for c in sorted([(closed[v] & uncovered).bit_count() for v in pool], reverse=True):
+            need += 1
+            left -= c
+            if left <= 0 or need >= best:
+                break
+        if need >= best:
+            return
+        v = next(v for v in branch_order if uncovered >> v & 1)
+        choices = closed[v] & uncovered if independent else closed[v]
+        kept: list[int] = []
+        for m in sorted((closed[u] & uncovered for u in bit_indices(choices)),
+                        key=lambda m: -m.bit_count()):
+            if independent or all(m & ~k for k in kept):
+                kept.append(m)
+                rec(uncovered & ~m, size + 1)
+
+    rec(full, 0)
+    return best
+
+
+def _assert_domination_matches_the_full_node_search(h: Graph) -> None:
+    gamma = _full_node_domination(h, False)
+    assert domination_number(h) == gamma, h
+    assert independent_domination_number(h) == _full_node_domination(h, True, gamma), h
+
+
+def test_domination_matches_the_search_before_the_last_member_decision():
+    rng = random.Random(1606)
+    for _ in range(200):
+        g = random_graph(rng, rng.randint(0, 16), rng.random())
+        for h in (g, square(g)):
+            _assert_domination_matches_the_full_node_search(h)
+    for s in range(20):
+        g = random_connected_graph(36, s)
+        for h in (g, square(g)):
+            _assert_domination_matches_the_full_node_search(h)
+    for s in range(4):
+        _assert_domination_matches_the_full_node_search(corona_with_k1(random_connected_graph(12, s)))
+    for s in range(2):
+        g = random_connected_graph(60, s)
+        gamma = domination_number(g)
+        assert independent_domination_number(g) == _full_node_domination(g, True, gamma), s
+
+
+def _domination_nodes(h: Graph, independent: bool, lower: int = 0) -> int:
+    # the calls of the search's node function, counted by a profile hook
+    rec = next(c for c in solvers._domination_search.__code__.co_consts
+               if getattr(c, "co_name", None) == "rec")
+    count = 0
+
+    def hook(frame, event, arg):
+        nonlocal count
+        if event == "call" and frame.f_code is rec:
+            count += 1
+
+    sys.setprofile(hook)
+    try:
+        solvers._domination_search(h, independent, lower)
+    finally:
+        sys.setprofile(None)
+    return count
+
+
+def test_domination_decides_the_last_member_and_idom_branches_on_fewest_choices():
+    # A node one member short of the best decides that member with one
+    # intersection, without calling children, and idom branches on the
+    # uncovered vertex with the fewest choices.  Over these 40 graphs gamma
+    # visits 1,532 and idom 1,695 nodes; deciding the last member by
+    # branching, or taking idom's vertex from the static order, visits more.
+    gamma_nodes = idom_nodes = 0
+    for s in range(20):
+        g = random_connected_graph(36, s)
+        for h in (g, square(g)):
+            gamma_nodes += _domination_nodes(h, False)
+            idom_nodes += _domination_nodes(h, True, domination_number(h))
+    assert gamma_nodes <= 1532 and idom_nodes <= 1695, (gamma_nodes, idom_nodes)
 
 
 def test_clique_cover_and_domination_match_the_searches_they_replaced():

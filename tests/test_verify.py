@@ -214,6 +214,13 @@ def test_run_suite_rejects_unknown_suite():
         run_suite([], ("nonesuch",))
 
 
+def test_run_suite_rejects_a_suite_named_twice():
+    # each name would get its own row of the report, and violations_total
+    # would count the suite's violations once per row
+    with pytest.raises(ValueError, match="suite 'chain' named twice"):
+        run_suite([("k2", complete_graph(2))], ("chain", "tree", "chain"))
+
+
 def test_run_suite_deterministic():
     items = [(to_graph6(g), g) for g in sample_corpus(15, 8, seed=5)]
     a = run_suite(items, SUITE_NAMES).as_dict(include_details=True)
