@@ -4,9 +4,8 @@ Adjacency is stored as one bitmask per vertex, which keeps every structural
 operation (square, distance, components, girth, chordality, induced
 subgraphs) a pure function of cheap integer arithmetic.  Graphs are safe to
 share across threads and usable as dict keys.  Every graph is validated when
-it is built, by comparing its packed rows with their transpose, and its hash
-is computed then, once: each stored value of a graph is looked up by that
-hash.
+it is built, and its hash is computed then, once: each stored value of a
+graph is looked up by that hash.
 """
 
 from __future__ import annotations
@@ -52,57 +51,14 @@ def bit_indices(mask: int) -> list[int]:
     return out
 
 
-@lru_cache(maxsize=None)
-def _transpose_masks(w: int) -> tuple[int, list[tuple[int, int]]]:
-    # The diagonal of a w x w bit matrix packed row-major (bit r*w + c) and,
-    # for j = w/2, ..., 1, the shift j*(w - 1) and the mask of the bits (r, c)
-    # with bit j clear in r and set in c, which trade places with (r + j, c - j).
-    ones = (1 << w * w) - 1
-    swaps = []
-    for k in range(1, w.bit_length()):
-        j = w >> k
-        cols = ((1 << j) - 1 << j) * (((1 << w) - 1) // ((1 << 2 * j) - 1))
-        rows = ((1 << j * w) - 1) // ((1 << w) - 1) * (ones // ((1 << 2 * j * w) - 1))
-        swaps.append((j * (w - 1), cols * rows))
-    return ((1 << w * (w + 1)) - 1) // ((1 << w + 1) - 1), swaps
-
-
-def _packed_graph(n: int, adj: tuple[int, ...]) -> bool:
-    # rows of n bits packed with a power-of-two stride w >= max(n, 8)
-    w = max(8, 1 << (n - 1).bit_length())
-    x = int.from_bytes(b"".join([m.to_bytes(w >> 3, "little") for m in adj]), "little")
-    diagonal, swaps = _transpose_masks(w)
-    t = x
-    for shift, mask in swaps:
-        d = (t ^ t >> shift) & mask
-        t ^= d ^ d << shift
-    return t == x and not x & diagonal
-
-
-def _raise_fault(n: int, adj: tuple[int, ...]) -> None:
-    # Vertex by vertex a loop, a stray bit or a neighbour above that does not
-    # list it back; failing those, the first unmirrored bit below the diagonal.
-    for v, m in enumerate(adj):
-        if m >> v & 1:
-            raise ValueError(f"self-loop at vertex {v}")
-        if m < 0 or m >> n:
-            raise ValueError(f"neighbour of {v} out of range")
-        for u in range(v + 1, n):
-            if m >> u & 1 and not adj[u] >> v & 1:
-                raise ValueError(f"asymmetric adjacency between {u} and {v}")
-    u, v = next((u, v) for v, m in enumerate(adj) for u in range(v)
-                if m >> u & 1 and not adj[u] >> v & 1)
-    raise ValueError(f"asymmetric adjacency between {u} and {v}")
-
-
 @dataclass(frozen=True)
 class Graph:
     """A finite, undirected, loopless graph without multiple edges.
 
-    ``adj[v]`` is the bitmask of neighbours of ``v``.  Masks that are not
-    symmetric and irreflexive are rejected with a ``ValueError`` naming the
-    first fault, which a walk finds once the packed transpose check fails.
-    The hash is computed once, on construction.
+    ``adj[v]`` is the bitmask of neighbours of ``v``.  The relation is kept
+    symmetric and irreflexive by construction; violating masks are rejected
+    with a ``ValueError`` naming the fault.  The hash is computed once, on
+    construction.
     """
 
     n: int
@@ -114,9 +70,28 @@ class Graph:
             raise ValueError("vertex count must be non-negative")
         if len(adj) != n:
             raise ValueError("adjacency length does not match vertex count")
-        # rows out of range would not pack, so they go straight to the walk
-        if n and (min(adj) < 0 or max(adj) >> n or not _packed_graph(n, adj)):
-            _raise_fault(n, adj)
+        # Each neighbour above a vertex must list it back.  The lower triangle
+        # then holds every mirrored bit, so it holds no other bit exactly when
+        # the degrees add up to twice the number of upper bits.
+        full = (1 << n) - 1
+        upper = 0
+        for v, m in enumerate(adj):
+            if m >> v & 1:
+                raise ValueError(f"self-loop at vertex {v}")
+            if m & ~full:
+                raise ValueError(f"neighbour of {v} out of range")
+            m >>= v + 1
+            upper += m.bit_count()
+            while m:
+                b = m & -m
+                u = v + b.bit_length()
+                if not adj[u] >> v & 1:
+                    raise ValueError(f"asymmetric adjacency between {u} and {v}")
+                m ^= b
+        if 2 * upper != sum(m.bit_count() for m in adj):
+            u, v = next((u, v) for v, m in enumerate(adj) for u in range(v)
+                        if m >> u & 1 and not adj[u] >> v & 1)
+            raise ValueError(f"asymmetric adjacency between {u} and {v}")
         object.__setattr__(self, "_hash", hash((n, adj)))
 
     def __hash__(self) -> int:

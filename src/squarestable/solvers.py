@@ -313,8 +313,12 @@ def _domination_search(g: Graph, independent: bool, lower: int = 0) -> int:
     best = 0
     uncovered = full
     while uncovered:
-        pool = bit_indices(uncovered) if independent else vertices
-        uncovered &= ~closed[max(pool, key=lambda v: (closed[v] & uncovered).bit_count())]
+        gain, pick = -1, 0
+        for v in bit_indices(uncovered) if independent else vertices:
+            c = (closed[v] & uncovered).bit_count()
+            if c > gain:
+                gain, pick = c, v
+        uncovered &= ~closed[pick]
         best += 1
 
     def rec(uncovered: int, size: int) -> None:

@@ -98,6 +98,14 @@ def test_analyze_refuses_before_any_search(capsys, tmp_path):
     assert [h.cache_info().misses for h in helpers] == misses
 
 
+def test_analyze_refuses_a_large_edge_list_at_once(capsys, tmp_path):
+    # a graph far over the solver cap is built and refused without a search
+    path = tmp_path / "large.edges"
+    path.write_text("n 5000\n0 1\n")
+    code, out, err = run_cli(capsys, "analyze", "--format", "edges", str(path))
+    assert (code, out, err) == (3, "", "error: exact solver cap exceeded (5000 > 64)\n")
+
+
 def test_analyze_answers_above_the_enumeration_cap(capsys, tmp_path):
     # The enumeration cap guards only --omega: every number and class of a
     # graph over it is answered up to the solver cap.

@@ -1,3 +1,5 @@
+import time
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -326,9 +328,9 @@ def test_graph_rejects_loops_stray_bits_and_bad_sizes(n, adj, message):
 
 @st.composite
 def adjacency_rows(draw):
-    # a symmetric loopless matrix of 0..70 vertices (packed widths 8 to 128),
-    # then at most one corruption: a flipped bit above or below the diagonal,
-    # a bit on it, a bit at n..n+3, or a negative row
+    # a symmetric loopless matrix of 0..70 vertices, then at most one
+    # corruption: a flipped bit above or below the diagonal, a bit on it, a
+    # bit at n..n+3, or a negative row
     n = draw(st.integers(0, 70))
     upper = draw(st.integers(0, (1 << n * (n - 1) // 2) - 1)) if n > 1 else 0
     rows = [0] * n
@@ -369,6 +371,16 @@ def test_graph_accepts_exactly_the_rows_the_walk_accepts(case):
         with pytest.raises(ValueError) as info:
             Graph(n, rows)
         assert str(info.value) == message
+
+
+def test_large_graphs_validate_in_time_linear_in_their_rows():
+    # validation walks the set bits of each row, so thousands of vertices
+    # with few edges cost milliseconds, whatever the vertex count
+    start = time.perf_counter()
+    empty = Graph.from_edges(5000, [])
+    path = Graph.from_edges(5000, [(v, v + 1) for v in range(4999)])
+    assert time.perf_counter() - start < 2
+    assert empty.edge_count == 0 and path.edge_count == 4999
 
 
 def test_has_edge_is_false_unless_both_endpoints_are_vertices():
