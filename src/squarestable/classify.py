@@ -22,6 +22,7 @@ from dataclasses import dataclass, field
 from .errors import CapExceededError, InternalCheckError
 from .graphs import (
     Graph,
+    _reach,
     bit_indices,
     components,
     induced_subgraph,
@@ -241,10 +242,7 @@ def _covers_each_vertex_once(n: int, simps: list[Simplex]) -> bool:
 def is_simplicial_graph(g: Graph) -> bool:
     """True iff every vertex is simplicial or adjacent to a simplicial vertex."""
     simp = mask_of(simplicial_vertices(g))
-    for v in range(g.n):
-        if not (simp >> v & 1 or g.adj[v] & simp):
-            return False
-    return True
+    return simp | _reach(g.adj, simp) == g.full_mask()
 
 
 # ---------------------------------------------------------------------------
@@ -334,10 +332,7 @@ def p2_exchangeability(g: Graph, s, cap=None) -> bool:
     for amask in stable_subsets(g, rest):
         if amask == 0:
             continue
-        na = 0
-        for v in bit_indices(amask):
-            na |= g.adj[v]
-        if amask.bit_count() + (smask & ~na).bit_count() < alpha:
+        if amask.bit_count() + (smask & ~_reach(g.adj, amask)).bit_count() < alpha:
             return False
     return True
 
@@ -391,12 +386,7 @@ def omega_is_matroid(g: Graph, cap_omega=None) -> bool:
         seen += 1
         if seen > _MATROID_SET_BUDGET:
             raise CapExceededError("matroid stable-set budget", _MATROID_SET_BUDGET, seen)
-        closed = imask
-        mm = imask
-        while mm:
-            b = mm & -mm
-            closed |= g.adj[b.bit_length() - 1]
-            mm ^= b
+        closed = imask | _reach(g.adj, imask)
         if _alpha_mask(g.adj, closed, imask.bit_count(), imask.bit_count() + 1)[1] is not None:
             exchange = False
             break

@@ -43,7 +43,7 @@ from .graphs import (
     square,
     to_graph6,
 )
-from .solvers import DEFAULT_CAP_N, enumerate_maximum_stable_sets, invariant_chain
+from .solvers import enumerate_maximum_stable_sets, invariant_chain
 from .verify import SUITE_NAMES, run_suite
 
 SCHEMA = "squarestable/1"
@@ -57,7 +57,7 @@ EXIT_PIPE = 141  # 128 + SIGPIPE
 
 def _check_caps(args) -> None:
     """Refuse a cap below 0, naming the flag or variable that set it, and fill
-    in the solver cap from SQSTABLE_CAP_N or the default."""
+    in the solver cap from SQSTABLE_CAP_N if it is set."""
     source = "--cap-n"
     env = os.environ.get("SQSTABLE_CAP_N")
     if args.cap_n is None and env is not None:
@@ -69,8 +69,6 @@ def _check_caps(args) -> None:
     for name, cap in ((source, args.cap_n), ("--cap-omega", args.cap_omega)):
         if cap is not None and cap < 0:
             raise ParseError(f"{name} must be at least 0, got {cap}")
-    if args.cap_n is None:
-        args.cap_n = DEFAULT_CAP_N
 
 
 def _read_input(path: str) -> str:
@@ -104,15 +102,18 @@ def _emit(doc: dict) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _analyze_doc(g: Graph, args) -> dict:
-    record = invariant_chain(g, args.cap_n)
-    report = classify(g, args.cap_n)
-    doc = {
-        "schema": SCHEMA,
+def _graph_doc(g: Graph, cap) -> dict:
+    # the graph's section last: a graph too large for graph6 is refused by
+    # the solver cap first
+    return {
+        "invariants": invariant_chain(g, cap).as_dict(),
+        "classification": classify(g, cap).as_dict(),
         "graph": {"n": g.n, "edges": g.edge_count, "graph6": to_graph6(g)},
-        "invariants": record.as_dict(),
-        "classification": report.as_dict(),
     }
+
+
+def _analyze_doc(g: Graph, args) -> dict:
+    doc = {"schema": SCHEMA, **_graph_doc(g, args.cap_n)}
     if args.omega:
         family = enumerate_maximum_stable_sets(g, args.cap_omega)
         doc["omega"] = {
@@ -120,12 +121,7 @@ def _analyze_doc(g: Graph, args) -> dict:
             "core": sorted(family.core),
         }
     if args.square:
-        sq = square(g)
-        doc["square"] = {
-            "graph": {"n": sq.n, "edges": sq.edge_count, "graph6": to_graph6(sq)},
-            "invariants": invariant_chain(sq, args.cap_n).as_dict(),
-            "classification": classify(sq, args.cap_n).as_dict(),
-        }
+        doc["square"] = _graph_doc(square(g), args.cap_n)
     return doc
 
 

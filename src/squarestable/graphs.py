@@ -68,6 +68,8 @@ class Graph:
         n, adj = self.n, self.adj
         if n < 0:
             raise ValueError("vertex count must be non-negative")
+        if not isinstance(adj, tuple):
+            raise ValueError("adjacency must be a tuple of ints")
         if len(adj) != n:
             raise ValueError("adjacency length does not match vertex count")
         # Each neighbour above a vertex must list it back.  The lower triangle
@@ -76,6 +78,8 @@ class Graph:
         full = (1 << n) - 1
         upper = 0
         for v, m in enumerate(adj):
+            if not isinstance(m, int):
+                raise ValueError("adjacency must be a tuple of ints")
             if m >> v & 1:
                 raise ValueError(f"self-loop at vertex {v}")
             if m & ~full:
@@ -142,17 +146,19 @@ class Graph:
     def full_mask(self) -> int:
         return (1 << self.n) - 1
 
-    # -- pure edits (used by stability-under-edit predicates) ---------------
+    # -- pure edits (the tree suite and unique_perfect_matching remove edges) -
 
     def add_edge(self, u: int, v: int) -> "Graph":
         if u == v:
             raise ValueError("cannot add a self-loop")
+        _vertex_mask(self.n, (u, v))
         adj = list(self.adj)
         adj[u] |= 1 << v
         adj[v] |= 1 << u
         return Graph(self.n, tuple(adj))
 
     def remove_edge(self, u: int, v: int) -> "Graph":
+        _vertex_mask(self.n, (u, v))
         adj = list(self.adj)
         adj[u] &= ~(1 << v)
         adj[v] &= ~(1 << u)
@@ -298,17 +304,18 @@ def square(g: Graph) -> Graph:
 
 @_store
 def _square(g: Graph) -> Graph:
-    adj2 = []
-    for v in range(g.n):
-        m = g.adj[v]
-        acc = m
-        mm = m
-        while mm:
-            b = mm & -mm
-            acc |= g.adj[b.bit_length() - 1]
-            mm ^= b
-        adj2.append(acc & ~(1 << v))
-    return Graph(g.n, tuple(adj2))
+    adj = g.adj
+    return Graph(g.n, tuple((m | _reach(adj, m)) & ~(1 << v) for v, m in enumerate(adj)))
+
+
+def _reach(adj: tuple[int, ...], mask: int) -> int:
+    """The union of the rows of the vertices in ``mask``: their neighbours."""
+    out = 0
+    while mask:
+        b = mask & -mask
+        out |= adj[b.bit_length() - 1]
+        mask ^= b
+    return out
 
 
 def distance_matrix(g: Graph) -> list[list]:
@@ -321,40 +328,25 @@ def distance_matrix(g: Graph) -> list[list]:
     for s in range(n):
         row = d[s]
         row[s] = 0
-        seen = 1 << s
-        frontier = 1 << s
+        seen = frontier = 1 << s
         dist = 0
         while frontier:
-            nxt = 0
-            mm = frontier
-            while mm:
-                b = mm & -mm
-                nxt |= g.adj[b.bit_length() - 1]
-                mm ^= b
-            nxt &= ~seen
+            frontier = _reach(g.adj, frontier) & ~seen
+            seen |= frontier
             dist += 1
-            mm = nxt
+            mm = frontier
             while mm:
                 b = mm & -mm
                 row[b.bit_length() - 1] = dist
                 mm ^= b
-            seen |= nxt
-            frontier = nxt
     return d
 
 
 def _component_mask(g: Graph, start: int) -> int:
-    seen = 1 << start
-    frontier = seen
+    seen = frontier = 1 << start
     while frontier:
-        nxt = 0
-        mm = frontier
-        while mm:
-            b = mm & -mm
-            nxt |= g.adj[b.bit_length() - 1]
-            mm ^= b
-        frontier = nxt & ~seen
-        seen |= nxt
+        frontier = _reach(g.adj, frontier) & ~seen
+        seen |= frontier
     return seen
 
 
@@ -388,11 +380,7 @@ def induced_subgraph(g: Graph, vertices: Iterable[int]) -> tuple[Graph, tuple[in
     Returns the subgraph plus the remap record: ``remap[new] == old``.
     """
     vs = sorted(set(vertices))
-    keep = 0
-    for v in vs:
-        if not 0 <= v < g.n:
-            raise ValueError(f"vertex {v} out of range")
-        keep |= 1 << v
+    keep = _vertex_mask(g.n, vs)
     if len(vs) == g.n:
         return g, tuple(vs)
     # a kept neighbour u becomes vertex |kept vertices below u|
@@ -424,32 +412,17 @@ def girth(g: Graph):
     """
     best = INFINITE
     for u, v in g.edges():
-        # BFS from u to v avoiding the edge uv
+        # BFS from u to v avoiding the edge uv: the search stops on reaching
+        # v, so only u's first step has to leave the edge out
         seen = 1 << u
-        frontier = seen
-        dist = 0
-        found = None
-        while frontier and found is None:
-            nxt = 0
-            mm = frontier
-            while mm:
-                b = mm & -mm
-                w = b.bit_length() - 1
-                m = g.adj[w]
-                if w == u:
-                    m &= ~(1 << v)
-                elif w == v:
-                    m &= ~(1 << u)
-                nxt |= m
-                mm ^= b
-            nxt &= ~seen
+        frontier = g.adj[u] & ~(1 << v)
+        dist = 1
+        while frontier and not frontier >> v & 1:
+            seen |= frontier
+            frontier = _reach(g.adj, frontier) & ~seen
             dist += 1
-            if nxt >> v & 1:
-                found = dist
-            seen |= nxt
-            frontier = nxt
-        if found is not None and found + 1 < best:
-            best = found + 1
+        if frontier and dist + 1 < best:
+            best = dist + 1
             if best == 3:
                 return 3
     return best
@@ -534,28 +507,25 @@ def pendant_vertices(g: Graph) -> frozenset[int]:
     return frozenset(v for v in range(g.n) if g.adj[v].bit_count() == 1)
 
 
+def _vertex_mask(n: int, vertices: Iterable[int]) -> int:
+    """The mask of ``vertices``; one outside 0..n-1 raises ``ValueError``."""
+    m = 0
+    for v in vertices:
+        if not 0 <= v < n:
+            raise ValueError(f"vertex {v} out of range")
+        m |= 1 << v
+    return m
+
+
 def is_stable_set(g: Graph, vertices: Iterable[int]) -> bool:
     """True iff the vertices are pairwise non-adjacent."""
-    m = mask_of(vertices)
-    if m & ~g.full_mask():
-        raise ValueError("vertex out of range")
-    return _is_stable_mask(g, m)
-
-
-def _is_stable_mask(g: Graph, m: int) -> bool:
-    """True iff no two vertices of the in-range mask ``m`` are adjacent."""
-    mm = m
-    while mm:
-        b = mm & -mm
-        if g.adj[b.bit_length() - 1] & m:
-            return False
-        mm ^= b
-    return True
+    m = _vertex_mask(g.n, vertices)
+    return not _reach(g.adj, m) & m
 
 
 def is_clique(g: Graph, vertices: Iterable[int]) -> bool:
     """True iff the vertices are pairwise adjacent."""
-    m = mask_of(vertices)
+    m = _vertex_mask(g.n, vertices)
     mm = m
     while mm:
         b = mm & -mm

@@ -384,14 +384,23 @@ def _counted(counts: tuple[int, ...], inc: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _exact_coloring(adj: tuple[int, ...], n: int, clique_number) -> list[int]:
-    """Minimum proper colouring as a list of colour-class masks.
+def clique_cover(g: Graph, cap=None) -> list[frozenset[int]]:
+    """A minimum partition of the vertices into cliques.
 
-    ``clique_number()`` must return the graph's clique number; it is called
-    only when the greedy bounds do not already meet.
+    Computed as an exact colouring of the complement: DSATUR branch-and-bound
+    (Brélaz 1979), bounded below by the stability number of the graph, which
+    is the clique number of the complement.
     """
-    if n == 0:
-        return []
+    _check_cap(g.n, cap, DEFAULT_CAP_N, SOLVER_CAP)
+    return list(_cover(g))
+
+
+@_store
+def _cover(g: Graph) -> tuple[frozenset[int], ...]:
+    # a minimum colouring of the complement, whose clique number, alpha of
+    # g, is read only when the greedy bounds do not already meet
+    n, full = g.n, g.full_mask()
+    adj = tuple(full & ~m & ~(1 << v) for v, m in enumerate(g.adj))
     # greedy clique seeds the greedy colouring's order and the lower bound
     order_by_degree = sorted(range(n), key=lambda v: (-adj[v].bit_count(), v))
     clique: list[int] = []
@@ -412,11 +421,8 @@ def _exact_coloring(adj: tuple[int, ...], n: int, clique_number) -> list[int]:
         else:
             best.append(1 << v)
     best_k = len(best)
-    if best_k == lower:
-        return best
-    lower = clique_number()
-    if best_k == lower:
-        return best
+    if best_k > lower:
+        lower = _alpha(g)
 
     classes: list[int] = []
     reach: list[int] = []  # reach[i]: the vertices adjacent to classes[i]
@@ -467,27 +473,9 @@ def _exact_coloring(adj: tuple[int, ...], n: int, clique_number) -> list[int]:
             classes.pop()
             reach.pop()
 
-    rec((1 << n) - 1, ())
-    return best
-
-
-def clique_cover(g: Graph, cap=None) -> list[frozenset[int]]:
-    """A minimum partition of the vertices into cliques.
-
-    Computed as an exact colouring of the complement: DSATUR branch-and-bound
-    (Brélaz 1979), bounded below by the stability number of the graph, which
-    is the clique number of the complement.
-    """
-    _check_cap(g.n, cap, DEFAULT_CAP_N, SOLVER_CAP)
-    return list(_cover(g))
-
-
-@_store
-def _cover(g: Graph) -> tuple[frozenset[int], ...]:
-    full = g.full_mask()
-    co_adj = tuple(full & ~m & ~(1 << v) for v, m in enumerate(g.adj))
-    classes = _exact_coloring(co_adj, g.n, lambda: _alpha(g))
-    return tuple(sorted((set_of(c) for c in classes), key=sorted))
+    if best_k > lower:
+        rec(full, ())
+    return tuple(sorted((set_of(c) for c in best), key=sorted))
 
 
 def clique_cover_number(g: Graph, cap=None) -> int:

@@ -39,6 +39,7 @@ from .classify import (
 from .errors import CapExceededError, InternalCheckError
 from .graphs import (
     Graph,
+    _reach,
     components,
     distance_matrix,
     girth,
@@ -80,13 +81,10 @@ def _attempt(predicate, g: Graph, cap, cap_omega):
 
 def _spread(g: Graph, s) -> bool:
     """True iff the vertices of ``s`` are pairwise at distance at least 3:
-    no two are adjacent and no two have a common neighbour."""
-    seen = mask_of(s)
-    for v in s:
-        if g.adj[v] & seen:
-            return False
-        seen |= g.adj[v]
-    return True
+    their closed neighbourhoods are pairwise disjoint, so their sizes add up
+    to the size of their union."""
+    m = mask_of(s)
+    return (m | _reach(g.adj, m)).bit_count() == sum(g.adj[v].bit_count() + 1 for v in s)
 
 
 def _omega(g: Graph, cap_omega) -> tuple:

@@ -11,8 +11,8 @@ exception: they read the library's exact alpha, its family of maximum
 stable sets, its matching counter and its induced-matching test on edited
 graphs, stable subsets and perfect matchings, so they are independent of
 the characterisations that ``classify`` and ``matchings`` compute, not of
-the solvers.  The simplexes by maximal cliques and P2 by
-stable subsets read only the adjacency.
+the solvers.  The simplexes by maximal cliques, P2 by stable subsets and
+the simplicial-graph test by vertex pairs read only the adjacency.
 
 ``oracle_least_columns`` is the plain canonical search that the
 bit-parallel one in ``generate`` replaced, kept as its cross-check, and
@@ -21,7 +21,7 @@ first fault ``Graph`` rejects.
 """
 
 from functools import lru_cache
-from itertools import permutations
+from itertools import combinations, permutations
 import random
 
 from squarestable.graphs import Graph, INFINITE, bit_indices, mask_of, stable_subsets
@@ -236,6 +236,11 @@ def oracle_distances(g: Graph) -> list[list]:
                 if d[i][k] + d[k][j] < d[i][j]:
                     d[i][j] = d[i][k] + d[k][j]
     return d
+
+
+def oracle_is_stable_set(g: Graph, vertices) -> bool:
+    """True iff no pair of the vertices is adjacent, pair by pair."""
+    return not any(g.adj[u] >> v & 1 for u, v in combinations(set(vertices), 2))
 
 
 def oracle_count_perfect_matchings(g: Graph) -> int:
@@ -466,3 +471,11 @@ def simplexes_by_maximal_cliques(g: Graph) -> list[tuple[frozenset, frozenset]]:
         for c in cliques if c & simplicial
     ]
     return sorted(out, key=lambda pair: sorted(pair[0]))
+
+
+def simplicial_graph_by_vertex_pairs(g: Graph) -> bool:
+    """True iff every vertex is simplicial or has a simplicial neighbour,
+    where a vertex is simplicial when its neighbours are pairwise adjacent."""
+    nbrs = [[u for u in range(g.n) if g.adj[v] >> u & 1] for v in range(g.n)]
+    simplicial = [all(g.adj[a] >> b & 1 for a, b in combinations(ns, 2)) for ns in nbrs]
+    return all(simplicial[v] or any(simplicial[u] for u in nbrs[v]) for v in range(g.n))

@@ -22,3 +22,22 @@ def graphs_with_pendants(draw, max_n: int = 7, max_pendants: int = 5):
     hosts = draw(st.lists(st.integers(0, g.n - 1), max_size=max_pendants)) if g.n else []
     edges = list(g.edges()) + [(v, g.n + i) for i, v in enumerate(hosts)]
     return Graph.from_edges(g.n + len(hosts), edges)
+
+
+@st.composite
+def sparse_graphs(draw, max_n: int = 14, max_extra: int = 3):
+    """A random forest, relabelled, plus at most ``max_extra`` more edges:
+    uniform edge masks almost never give a long shortest cycle or several
+    components above 7 vertices, and these graphs often do."""
+    n = draw(st.integers(0, max_n))
+    label = draw(st.permutations(range(n)))
+    edges = []
+    for v in range(1, n):
+        # v hangs from one of the last few vertices, which keeps the trees
+        # deep, or starts a new tree
+        if draw(st.integers(0, 7)):
+            edges.append((label[max(0, v - draw(st.integers(1, 3)))], label[v]))
+    for _ in range(draw(st.integers(0, max_extra)) if n > 1 else 0):
+        u, w = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 2))
+        edges.append((u, w + (w >= u)))
+    return Graph.from_edges(n, edges)

@@ -1,5 +1,6 @@
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from squarestable.classify import (
     AlphaPlusClass,
@@ -53,8 +54,9 @@ from oracles import (
     p1_by_stable_subsets,
     p2_by_stable_subsets,
     simplexes_by_maximal_cliques,
+    simplicial_graph_by_vertex_pairs,
 )
-from strategies import graphs, graphs_with_pendants
+from strategies import graphs, graphs_with_pendants, sparse_graphs
 
 DIAMOND = named_fixture("diamond")
 
@@ -207,6 +209,11 @@ def test_is_simplicial_graph_examples():
     assert is_simplicial_graph(path_graph(4))
     assert not is_simplicial_graph(cycle_graph(5))
     assert is_simplicial_graph(complete_graph(4))
+
+
+@given(st.one_of(graphs(), sparse_graphs()))
+def test_is_simplicial_graph_matches_its_definition(g):
+    assert is_simplicial_graph(g) == simplicial_graph_by_vertex_pairs(g)
 
 
 # ---------------------------------------------------------------------------

@@ -23,7 +23,9 @@ from squarestable.graphs import (
     induced_subgraph,
     is_bipartite,
     is_chordal,
+    is_clique,
     is_connected,
+    is_stable_set,
     is_tree,
     parse_edge_list,
     parse_graph6,
@@ -39,10 +41,11 @@ from oracles import (
     oracle_graph_fault,
     oracle_induced_subgraph,
     oracle_is_chordal,
+    oracle_is_stable_set,
     permuted,
     reference_parse_graph6,
 )
-from strategies import graphs
+from strategies import graphs, sparse_graphs
 
 DIAMOND = Graph.from_edges(4, [(0, 1), (0, 3), (1, 2), (1, 3), (2, 3)])
 
@@ -168,6 +171,15 @@ def test_square_adjacency_matches_distance(g):
             assert sq.has_edge(u, v) == (d[u][v] in (1, 2))
 
 
+@given(st.one_of(graphs(), sparse_graphs()))
+def test_square_adjacency_matches_the_floyd_warshall_distances(g):
+    d = oracle_distances(g)
+    sq = square(g)
+    for u in range(g.n):
+        for v in range(u + 1, g.n):
+            assert sq.has_edge(u, v) == (d[u][v] in (1, 2))
+
+
 # ---------------------------------------------------------------------------
 # distances, components, complement
 # ---------------------------------------------------------------------------
@@ -192,6 +204,17 @@ def test_components_examples():
     assert components(Graph.from_edges(3, [])) == [
         frozenset({0}), frozenset({1}), frozenset({2}),
     ]
+
+
+@given(st.one_of(graphs(max_n=10), sparse_graphs()))
+def test_components_and_connectivity_match_networkx(g):
+    nx = pytest.importorskip("networkx")
+    h = nx.Graph()
+    h.add_nodes_from(range(g.n))
+    h.add_edges_from(g.edges())
+    expected = sorted((frozenset(c) for c in nx.connected_components(h)), key=min)
+    assert components(g) == expected
+    assert is_connected(g) == (len(expected) <= 1)
 
 
 def test_complement_examples():
@@ -259,6 +282,16 @@ def test_girth_matches_oracle(g):
     assert girth(g) == oracle_girth(g)
 
 
+@given(st.one_of(graphs(max_n=12), sparse_graphs(max_n=12)))
+@settings(max_examples=300)
+def test_girth_matches_networkx_up_to_12_vertices(g):
+    nx = pytest.importorskip("networkx")
+    h = nx.Graph()
+    h.add_nodes_from(range(g.n))
+    h.add_edges_from(g.edges())
+    assert girth(g) == nx.girth(h)
+
+
 def test_chordal_examples():
     assert is_chordal(path_graph(6))
     assert not is_chordal(cycle_graph(4))
@@ -320,6 +353,10 @@ def test_graph_rejects_asymmetric_adjacency():
     (3, (0, 0b010, 0), "self-loop at vertex 1"),
     (2, (0,), "adjacency length does not match vertex count"),
     (-1, (), "vertex count must be non-negative"),
+    (2, [0, 0], "adjacency must be a tuple of ints"),
+    (2, (0.0, 0), "adjacency must be a tuple of ints"),
+    (2, ("0", "0"), "adjacency must be a tuple of ints"),
+    (2, "00", "adjacency must be a tuple of ints"),
 ])
 def test_graph_rejects_loops_stray_bits_and_bad_sizes(n, adj, message):
     with pytest.raises(ValueError, match=message):
@@ -390,6 +427,28 @@ def test_has_edge_is_false_unless_both_endpoints_are_vertices():
         assert not p3.has_edge(u, v), (u, v)
     assert not is_valid_matching(p3, [(-1, 1)])
     assert not is_valid_matching(p3, [(2, 3)])
+
+
+@pytest.mark.parametrize("call, bad", [
+    pytest.param(lambda g: is_clique(g, [0, 5]), 5, id="is_clique-pair"),
+    pytest.param(lambda g: is_clique(g, [5]), 5, id="is_clique-single"),
+    pytest.param(lambda g: is_clique(g, [-1, 0]), -1, id="is_clique-negative"),
+    pytest.param(lambda g: is_stable_set(g, [0, 3]), 3, id="is_stable_set"),
+    pytest.param(lambda g: is_stable_set(g, [-2]), -2, id="is_stable_set-negative"),
+    pytest.param(lambda g: g.add_edge(0, 5), 5, id="add_edge"),
+    pytest.param(lambda g: g.add_edge(-1, 0), -1, id="add_edge-negative"),
+    pytest.param(lambda g: g.remove_edge(0, 5), 5, id="remove_edge"),
+    pytest.param(lambda g: g.remove_edge(-1, 0), -1, id="remove_edge-negative"),
+])
+def test_out_of_range_vertices_are_refused_by_name(call, bad):
+    with pytest.raises(ValueError, match=f"vertex {bad} out of range"):
+        call(path_graph(3))
+
+
+@given(st.one_of(graphs(max_n=10), sparse_graphs()), st.data())
+def test_is_stable_set_matches_the_pairwise_oracle(g, data):
+    vertices = data.draw(st.lists(st.integers(0, g.n - 1), max_size=g.n)) if g.n else []
+    assert is_stable_set(g, vertices) == oracle_is_stable_set(g, vertices)
 
 
 @given(graphs(max_n=6), st.randoms(use_true_random=False))
