@@ -16,18 +16,17 @@ characterisation, the tests cross-check it against the definition.  Only
 from __future__ import annotations
 
 import enum
-import itertools
 from dataclasses import dataclass, field
 
 from .errors import CapExceededError, InternalCheckError
 from .graphs import (
     Graph,
+    _is_clique_mask,
     _reach,
+    _vertex_mask,
     bit_indices,
-    components,
     induced_subgraph,
     is_chordal,
-    is_clique,
     is_stable_set,
     isolated_vertices,
     mask_of,
@@ -199,17 +198,7 @@ def pendants_contain_maximum_stable_set(g: Graph, cap=None) -> bool:
 def simplicial_vertices(g: Graph) -> frozenset[int]:
     """All vertices whose open neighbourhood induces a clique (isolated
     vertices qualify vacuously)."""
-    out = []
-    for v, m in enumerate(g.adj):
-        mm = m
-        while mm:
-            b = mm & -mm
-            if m & ~b & ~g.adj[b.bit_length() - 1]:
-                break
-            mm ^= b
-        else:
-            out.append(v)
-    return frozenset(out)
+    return frozenset(v for v, m in enumerate(g.adj) if _is_clique_mask(g.adj, m))
 
 
 def simplexes(g: Graph) -> list[Simplex]:
@@ -232,11 +221,10 @@ def simplex_partition_check(g: Graph) -> bool:
 
 
 def _covers_each_vertex_once(n: int, simps: list[Simplex]) -> bool:
-    counts = [0] * n
-    for s in simps:
-        for v in s.clique:
-            counts[v] += 1
-    return all(c == 1 for c in counts)
+    # the simplexes are pairwise disjoint and cover every vertex exactly when
+    # their sizes add up to n and to the size of their union
+    size = sum(len(s.clique) for s in simps)
+    return size == n == len(frozenset().union(*(s.clique for s in simps)))
 
 
 def is_simplicial_graph(g: Graph) -> bool:
@@ -304,18 +292,12 @@ def p1_unique_matchability(g: Graph, s) -> bool:
 
     ``s`` need not be a maximum stable set.  Evaluated by the direct
     criterion: every outside vertex has exactly one neighbour in ``s``, and
-    no two non-adjacent outside vertices share that neighbour.
+    the outside neighbours of each member of ``s`` are pairwise adjacent.
     """
-    smask = mask_of(s)
-    partner: dict[int, list[int]] = {}
-    for v in bit_indices(g.full_mask() & ~smask):
-        hits = g.adj[v] & smask
-        if hits.bit_count() != 1:
-            return False
-        partner.setdefault(hits, []).append(v)
-    return all(
-        g.has_edge(a, b) for vs in partner.values() for a, b in itertools.combinations(vs, 2)
-    )
+    smask = _vertex_mask(g.n, s)
+    outside = g.full_mask() & ~smask
+    return all((g.adj[v] & smask).bit_count() == 1 for v in bit_indices(outside)) and all(
+        _is_clique_mask(g.adj, g.adj[u] & outside) for u in bit_indices(smask))
 
 
 def p2_exchangeability(g: Graph, s, cap=None) -> bool:
@@ -326,7 +308,7 @@ def p2_exchangeability(g: Graph, s, cap=None) -> bool:
     extends exactly when ``s`` has alpha - |A| vertices outside it.  The
     empty set is vacuously fine: a proper part of ``s`` is never maximum.
     """
-    smask = mask_of(s)
+    smask = _vertex_mask(g.n, s)
     rest = g.full_mask() & ~smask
     alpha = stability_number(g, cap)
     for amask in stable_subsets(g, rest):
@@ -373,11 +355,12 @@ def omega_is_matroid(g: Graph, cap_omega=None) -> bool:
     matroid, whose bases are then exactly the maximum stable sets.
 
     Checked by brute force over the hereditary family and by the structural
-    criterion (every component is a clique); the two must agree.  The brute
-    force uses the augmentation axiom, which for a hereditary family reduces
-    to: no stable set ``I`` admits a stable subset of its closed
-    neighbourhood larger than ``I`` (a larger stable set avoiding the
-    neighbourhood would itself provide the augmenting element).
+    criterion (every component is a clique: no vertex is the middle of an
+    induced path on three vertices, so every vertex is simplicial); the two
+    must agree.  The brute force uses the augmentation axiom, which for a
+    hereditary family reduces to: no stable set ``I`` admits a stable subset
+    of its closed neighbourhood larger than ``I`` (a larger stable set
+    avoiding the neighbourhood would itself provide the augmenting element).
     """
     _check_cap(g.n, cap_omega, DEFAULT_CAP_OMEGA, OMEGA_CAP)
     exchange = True
@@ -391,7 +374,7 @@ def omega_is_matroid(g: Graph, cap_omega=None) -> bool:
             exchange = False
             break
 
-    cliques = _components_are_cliques(g)
+    cliques = len(simplicial_vertices(g)) == g.n
 
     if exchange != cliques:
         raise InternalCheckError(
@@ -401,10 +384,6 @@ def omega_is_matroid(g: Graph, cap_omega=None) -> bool:
     return exchange
 
 
-def _components_are_cliques(g: Graph) -> bool:
-    return all(is_clique(g, comp) for comp in components(g))
-
-
 # ---------------------------------------------------------------------------
 # Aggregate report
 # ---------------------------------------------------------------------------
@@ -412,7 +391,8 @@ def _components_are_cliques(g: Graph) -> bool:
 
 def classify(g: Graph, cap=None) -> ClassificationReport:
     """Full classification with witnesses and report-level consistency checks.
-    ``omega_matroid`` reads the clique-components criterion alone."""
+    ``omega_matroid`` reads the clique-components criterion alone: every
+    vertex is simplicial."""
     ss = is_square_stable(g, cap)
     wc = is_well_covered(g, cap)
     vwc = is_very_well_covered(g, cap)
@@ -451,7 +431,7 @@ def classify(g: Graph, cap=None) -> ClassificationReport:
         simplex_partition=_covers_each_vertex_once(g.n, simps),
         alpha_minus=aminus,
         alpha_plus_class=_CLASS_BY_CORE_SIZE[min(len(core), 2)],
-        omega_matroid=_components_are_cliques(g),
+        omega_matroid=len(simplicial_vertices(g)) == g.n,
         witnesses=witnesses,
     )
 

@@ -121,6 +121,7 @@ class Graph:
     # -- basic accessors ---------------------------------------------------
 
     def degree(self, v: int) -> int:
+        _vertex_mask(self.n, (v,))
         return self.adj[v].bit_count()
 
     def has_edge(self, u: int, v: int) -> bool:
@@ -431,39 +432,23 @@ def girth(g: Graph):
 def perfect_elimination_ordering(g: Graph):
     """A perfect elimination ordering if ``g`` is chordal, else ``None``.
 
-    Maximum-cardinality search produces a candidate ordering; the ordering is
-    then verified directly, so a ``None``/non-``None`` answer is
-    self-certifying.
+    Simplicial elimination (Dirac 1961; Fulkerson & Gross 1965): every
+    induced subgraph of a chordal graph has a simplicial vertex, and no vertex
+    of a chordless cycle is simplicial while its cycle neighbours remain.  So
+    deleting the lowest vertex whose remaining neighbours form a clique, one
+    at a time, deletes every vertex exactly when ``g`` is chordal, and the
+    deletion order is then the ordering; the answer certifies itself.
     """
-    n = g.n
-    weight = [0] * n
-    visited = 0
-    visit_order = []
-    for _ in range(n):
-        best_v, best_w = -1, -1
-        for v in range(n):
-            if visited >> v & 1:
-                continue
-            if weight[v] > best_w:
-                best_v, best_w = v, weight[v]
-        visit_order.append(best_v)
-        visited |= 1 << best_v
-        m = g.adj[best_v] & ~visited
-        while m:
-            b = m & -m
-            weight[b.bit_length() - 1] += 1
-            m ^= b
-    elim = visit_order[::-1]
-    remaining = g.full_mask()
-    for v in elim:
-        remaining &= ~(1 << v)
-        later = m = g.adj[v] & remaining
-        while m:
-            b = m & -m
-            if later & ~b & ~g.adj[b.bit_length() - 1]:
-                return None
-            m ^= b
-    return tuple(elim)
+    adj, left, order = g.adj, g.full_mask(), []
+    while left:
+        for v in bit_indices(left):
+            if _is_clique_mask(adj, adj[v] & left):
+                break
+        else:
+            return None
+        order.append(v)
+        left ^= 1 << v
+    return tuple(order)
 
 
 def is_chordal(g: Graph) -> bool:
@@ -525,12 +510,15 @@ def is_stable_set(g: Graph, vertices: Iterable[int]) -> bool:
 
 def is_clique(g: Graph, vertices: Iterable[int]) -> bool:
     """True iff the vertices are pairwise adjacent."""
-    m = _vertex_mask(g.n, vertices)
+    return _is_clique_mask(g.adj, _vertex_mask(g.n, vertices))
+
+
+def _is_clique_mask(adj: tuple[int, ...], m: int) -> bool:
+    """True iff the vertices of the mask ``m`` are pairwise adjacent."""
     mm = m
     while mm:
         b = mm & -mm
-        v = b.bit_length() - 1
-        if m & ~g.adj[v] & ~b:
+        if m & ~b & ~adj[b.bit_length() - 1]:
             return False
         mm ^= b
     return True

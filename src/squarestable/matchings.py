@@ -14,7 +14,7 @@ import enum
 from collections import deque
 from typing import Iterable, Optional
 
-from .graphs import Graph, _store, bit_indices, mask_of
+from .graphs import Graph, _store, bit_indices, mask_of, pendant_vertices
 
 #: A matching is a frozenset of (u, v) edges with u < v, pairwise non-incident.
 Matching = frozenset
@@ -198,19 +198,13 @@ def pendant_perfect_matching(g: Graph) -> Optional[Matching]:
     """The perfect matching made of pendant edges, if one exists.
 
     Each pendant vertex forces its unique incident edge, so such a matching
-    is unique when it exists: collect the forced edges and check that they
-    form a matching covering every vertex.
+    is unique when it exists.  The forced edges form a perfect matching
+    exactly when there are n/2 of them and they cover every vertex.
     """
-    edges = set()
-    for v in range(g.n):
-        if g.adj[v].bit_count() == 1:
-            edges.add(_normalize(v, g.adj[v].bit_length() - 1))
-    covered = 0
-    for u, v in edges:
-        covered |= (1 << u) | (1 << v)
-    if covered != g.full_mask() or covered.bit_count() != 2 * len(edges):
+    edges = frozenset(_normalize(v, g.adj[v].bit_length() - 1) for v in pendant_vertices(g))
+    if 2 * len(edges) != g.n or mask_of(v for e in edges for v in e) != g.full_mask():
         return None
-    return frozenset(edges)
+    return edges
 
 
 def is_induced_matching(g: Graph, m: Iterable[tuple[int, int]]) -> bool:

@@ -17,7 +17,9 @@ the simplicial-graph test by vertex pairs read only the adjacency.
 ``oracle_least_columns`` is the plain canonical search that the
 bit-parallel one in ``generate`` replaced, kept as its cross-check, and
 ``oracle_graph_fault`` the plain walk over the adjacency that names the
-first fault ``Graph`` rejects.
+first fault ``Graph`` rejects.  The clique, simplicial-vertex and
+elimination-ordering oracles test vertex pairs one at a time, sharing no
+code with the library's mask test.
 """
 
 from functools import lru_cache
@@ -225,6 +227,18 @@ def oracle_is_chordal(g: Graph) -> bool:
     return True
 
 
+def oracle_is_elimination_ordering(g: Graph, order) -> bool:
+    """True iff ``order`` lists every vertex once and the neighbours that
+    follow each vertex in it are pairwise adjacent, pair by pair."""
+    if sorted(order) != list(range(g.n)):
+        return False
+    for i, v in enumerate(order):
+        later = [u for u in order[i + 1:] if g.has_edge(u, v)]
+        if not all(g.has_edge(a, b) for a, b in combinations(later, 2)):
+            return False
+    return True
+
+
 def oracle_distances(g: Graph) -> list[list]:
     n = g.n
     d = [[0 if i == j else INFINITE for j in range(n)] for i in range(n)]
@@ -241,6 +255,17 @@ def oracle_distances(g: Graph) -> list[list]:
 def oracle_is_stable_set(g: Graph, vertices) -> bool:
     """True iff no pair of the vertices is adjacent, pair by pair."""
     return not any(g.adj[u] >> v & 1 for u, v in combinations(set(vertices), 2))
+
+
+def oracle_is_clique(g: Graph, vertices) -> bool:
+    """True iff every pair of the vertices is adjacent, pair by pair."""
+    return all(g.has_edge(u, v) for u, v in combinations(set(vertices), 2))
+
+
+def oracle_simplicial_vertices(g: Graph) -> frozenset[int]:
+    """The vertices whose neighbours are pairwise adjacent, pair by pair."""
+    return frozenset(
+        v for v in range(g.n) if oracle_is_clique(g, (u for u in range(g.n) if g.has_edge(u, v))))
 
 
 def oracle_count_perfect_matchings(g: Graph) -> int:

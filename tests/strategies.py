@@ -41,3 +41,32 @@ def sparse_graphs(draw, max_n: int = 14, max_extra: int = 3):
         u, w = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 2))
         edges.append((u, w + (w >= u)))
     return Graph.from_edges(n, edges)
+
+
+@st.composite
+def chordal_graphs(draw, max_n: int = 14):
+    """A chordal graph, relabelled, sometimes plus one more edge: uniform
+    edge masks are almost never chordal above 7 vertices.  Each new vertex
+    joins a clique of the earlier ones: a drawn part of an earlier vertex's
+    closed neighbourhood, each member kept only while the part stays a
+    clique.  The extra edge joins the last vertex to an earlier one and may
+    close a chordless cycle, so both answers occur."""
+    n = draw(st.integers(0, max_n))
+    nbrs: list[set[int]] = [set() for _ in range(n)]
+    for v in range(1, n):
+        # u is left out now and then, which starts a new component when
+        # the part is empty
+        u = draw(st.integers(0, v - 1))
+        clique = {u} if draw(st.integers(0, 7)) else set()
+        for w in sorted(nbrs[u]):
+            if draw(st.booleans()) and clique <= nbrs[w]:
+                clique.add(w)
+        for w in clique:
+            nbrs[w].add(v)
+            nbrs[v].add(w)
+    if n > 2 and draw(st.booleans()):
+        u = draw(st.integers(0, n - 2))
+        nbrs[u].add(n - 1)
+        nbrs[n - 1].add(u)
+    label = draw(st.permutations(range(n)))
+    return Graph.from_edges(n, [(label[v], label[w]) for v in range(n) for w in nbrs[v]])

@@ -51,12 +51,13 @@ from oracles import (
     omega_core_by_intersection,
     oracle_idom,
     oracle_omega,
+    oracle_simplicial_vertices,
     p1_by_stable_subsets,
     p2_by_stable_subsets,
     simplexes_by_maximal_cliques,
     simplicial_graph_by_vertex_pairs,
 )
-from strategies import graphs, graphs_with_pendants, sparse_graphs
+from strategies import chordal_graphs, graphs, graphs_with_pendants, sparse_graphs
 
 DIAMOND = named_fixture("diamond")
 
@@ -181,6 +182,11 @@ def test_simplicial_vertices_examples():
     assert simplicial_vertices(Graph.from_edges(1, [])) == {0}
 
 
+@given(st.one_of(graphs(), sparse_graphs(), chordal_graphs()))
+def test_simplicial_vertices_match_the_pairwise_oracle(g):
+    assert simplicial_vertices(g) == oracle_simplicial_vertices(g)
+
+
 def test_simplexes_examples():
     p4 = simplexes(path_graph(4))
     assert [(sorted(s.clique), sorted(s.simplicial_members)) for s in p4] == [
@@ -203,6 +209,10 @@ def test_simplex_partition_examples():
     assert not simplex_partition_check(cycle_graph(4))
     assert not simplex_partition_check(path_graph(3))  # simplexes overlap at centre
     assert simplex_partition_check(complete_graph(3))
+    # the simplexes {0,5}, {1,5}, {2,4} have 6 vertices in all, but 5 lies in
+    # two of them and 3 in none
+    assert not simplex_partition_check(
+        Graph.from_edges(6, [(0, 5), (1, 5), (2, 4), (3, 4), (3, 5)]))
 
 
 def test_is_simplicial_graph_examples():
@@ -331,6 +341,27 @@ def test_omega_matroid_examples():
 @settings(max_examples=80)
 def test_omega_matroid_routes_never_disagree(g):
     omega_is_matroid(g)  # raises InternalCheckError on route disagreement
+
+
+def _union_of_cliques(sizes: list[int]) -> Graph:
+    starts = [sum(sizes[:i]) for i in range(len(sizes))]
+    return Graph.from_edges(sum(sizes), [
+        (s + a, s + b) for s, k in zip(starts, sizes) for a in range(k) for b in range(a + 1, k)])
+
+
+@given(st.one_of(
+    graphs(max_n=7), sparse_graphs(), chordal_graphs(),
+    st.lists(st.integers(1, 4), max_size=4).map(_union_of_cliques)))
+@settings(max_examples=150)
+def test_omega_matroid_reads_complete_components(g):
+    nx = pytest.importorskip("networkx")
+    h = nx.Graph()
+    h.add_nodes_from(range(g.n))
+    h.add_edges_from(g.edges())
+    complete = all(
+        h.subgraph(c).number_of_edges() == len(c) * (len(c) - 1) // 2
+        for c in nx.connected_components(h))
+    assert classify(g).omega_matroid == complete
 
 
 # ---------------------------------------------------------------------------

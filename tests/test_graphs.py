@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from squarestable.classify import p1_unique_matchability, p2_exchangeability
 from squarestable.errors import ParseError
 from squarestable.generate import (
     canonical_graph,
@@ -41,11 +42,13 @@ from oracles import (
     oracle_graph_fault,
     oracle_induced_subgraph,
     oracle_is_chordal,
+    oracle_is_clique,
+    oracle_is_elimination_ordering,
     oracle_is_stable_set,
     permuted,
     reference_parse_graph6,
 )
-from strategies import graphs, sparse_graphs
+from strategies import chordal_graphs, graphs, sparse_graphs
 
 DIAMOND = Graph.from_edges(4, [(0, 1), (0, 3), (1, 2), (1, 3), (2, 3)])
 
@@ -312,6 +315,21 @@ def test_chordal_matches_oracle(g):
     assert is_chordal(g) == oracle_is_chordal(g)
 
 
+@given(st.one_of(sparse_graphs(), chordal_graphs()))
+@settings(max_examples=300)
+def test_chordality_matches_networkx_up_to_14_vertices(g):
+    nx = pytest.importorskip("networkx")
+    h = nx.Graph()
+    h.add_nodes_from(range(g.n))
+    h.add_edges_from(g.edges())
+    chordal = nx.is_chordal(h)
+    assert is_chordal(g) == chordal
+    order = perfect_elimination_ordering(g)
+    assert (order is not None) == chordal
+    if chordal:
+        assert oracle_is_elimination_ordering(g, order), order
+
+
 def test_is_tree_examples():
     assert is_tree(path_graph(4))
     assert not is_tree(cycle_graph(4))
@@ -439,10 +457,37 @@ def test_has_edge_is_false_unless_both_endpoints_are_vertices():
     pytest.param(lambda g: g.add_edge(-1, 0), -1, id="add_edge-negative"),
     pytest.param(lambda g: g.remove_edge(0, 5), 5, id="remove_edge"),
     pytest.param(lambda g: g.remove_edge(-1, 0), -1, id="remove_edge-negative"),
+    pytest.param(lambda g: g.degree(5), 5, id="degree"),
+    pytest.param(lambda g: g.degree(-1), -1, id="degree-negative"),
+    pytest.param(lambda g: p1_unique_matchability(g, [0, 5]), 5, id="p1_unique_matchability"),
+    pytest.param(lambda g: p2_exchangeability(g, [0, 5]), 5, id="p2_exchangeability"),
 ])
 def test_out_of_range_vertices_are_refused_by_name(call, bad):
     with pytest.raises(ValueError, match=f"vertex {bad} out of range"):
         call(path_graph(3))
+
+
+@given(st.one_of(
+    graphs(max_n=10), sparse_graphs(), chordal_graphs(), sparse_graphs().map(complement)),
+    st.data())
+def test_is_clique_matches_the_pairwise_oracle(g, data):
+    # parts of a closed neighbourhood, and of a dense graph, miss few pairs
+    if g.n and data.draw(st.booleans()):
+        v = data.draw(st.integers(0, g.n - 1))
+        within = [v] + [u for u in range(g.n) if g.has_edge(u, v)]
+    else:
+        within = list(range(g.n))
+    pick = data.draw(st.integers(0, (1 << len(within)) - 1))
+    vertices = [w for i, w in enumerate(within) if pick >> i & 1]
+    assert is_clique(g, vertices) == oracle_is_clique(g, vertices)
+
+
+def test_is_clique_sees_any_one_missing_pair():
+    for n in range(2, 7):
+        assert is_clique(complete_graph(n), range(n))
+        for u in range(n):
+            for v in range(u + 1, n):
+                assert not is_clique(complete_graph(n).remove_edge(u, v), range(n)), (n, u, v)
 
 
 @given(st.one_of(graphs(max_n=10), sparse_graphs()), st.data())

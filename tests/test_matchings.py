@@ -2,6 +2,7 @@ import random
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from squarestable.generate import (
     complete_bipartite_graph,
@@ -34,7 +35,7 @@ from oracles import (
     oracle_mu,
     random_graph,
 )
-from strategies import graphs
+from strategies import graphs, graphs_with_pendants
 
 PETERSEN = Graph.from_edges(10, [
     (0, 1), (1, 2), (2, 3), (3, 4), (4, 0),
@@ -173,6 +174,18 @@ def test_pendant_pm_implies_unique_pm_with_same_edges(g):
         status, m = unique_perfect_matching(g)
         assert status is PerfectMatchingStatus.UNIQUE
         assert m == ppm
+
+
+@given(st.one_of(
+    graphs_with_pendants(max_n=6, max_pendants=6), graphs(max_n=6).map(corona_with_k1)))
+@settings(max_examples=150)
+def test_pendant_perfect_matching_matches_enumeration(g):
+    # the perfect matchings with a degree-1 endpoint on every edge: at most
+    # one, since each pendant vertex forces its edge
+    pendant = [m for m in enumerate_perfect_matchings(g)
+               if all(g.degree(u) == 1 or g.degree(v) == 1 for u, v in m)]
+    assert len(pendant) <= 1
+    assert pendant_perfect_matching(g) == (pendant[0] if pendant else None)
 
 
 # ---------------------------------------------------------------------------
