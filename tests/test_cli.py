@@ -619,6 +619,21 @@ def test_analyze_report_is_pinned(capsys, tmp_path):
         "d6a9240d1ce6837d3a6084d5481a762826dce60dfb2664ac61efc7775fe5e31a")
 
 
+def test_larger_analyze_report_is_pinned(capsys, tmp_path):
+    import hashlib
+
+    # Every invariant, class and witness of six seeded graphs of 30 and 40
+    # vertices and of their squares, where the core and edge-deletion
+    # searches have the most room to differ.
+    path = tmp_path / "larger.g6"
+    path.write_text("".join(
+        to_graph6(random_connected_graph(n, s)) + "\n" for n in (30, 40) for s in range(3)))
+    code, out, err = run_cli(capsys, "analyze", "--square", str(path))
+    assert code == 0, err
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "905bfb6c60e6664d46e5eb7240ff8533e9fbe5d7cff1beb8c2beb5592e791c83")
+
+
 def test_plain_and_text_analyze_reports_are_pinned(capsys, tmp_path):
     import hashlib
 
