@@ -23,6 +23,7 @@ from .graphs import (
     Graph,
     _is_clique_mask,
     _reach,
+    _store,
     _vertex_mask,
     bit_indices,
     induced_subgraph,
@@ -37,10 +38,13 @@ from .graphs import (
 )
 from .matchings import matching_number, pendant_perfect_matching
 from .solvers import (
+    DEFAULT_CAP_N,
     DEFAULT_CAP_OMEGA,
     OMEGA_CAP,
+    SOLVER_CAP,
     _alpha_mask,
     _check_cap,
+    _least_maximum_stable_set,
     independent_domination_number,
     maximum_stable_set,
     stability_number,
@@ -198,7 +202,12 @@ def pendants_contain_maximum_stable_set(g: Graph, cap=None) -> bool:
 def simplicial_vertices(g: Graph) -> frozenset[int]:
     """All vertices whose open neighbourhood induces a clique (isolated
     vertices qualify vacuously)."""
-    return frozenset(v for v, m in enumerate(g.adj) if _is_clique_mask(g.adj, m))
+    return set_of(_simplicial(g))
+
+
+@_store
+def _simplicial(g: Graph) -> int:
+    return mask_of(v for v, m in enumerate(g.adj) if _is_clique_mask(g.adj, m))
 
 
 def simplexes(g: Graph) -> list[Simplex]:
@@ -209,7 +218,7 @@ def simplexes(g: Graph) -> list[Simplex]:
     holds every clique through v, so it is the one maximal clique containing
     v: the simplexes are the distinct N[v].
     """
-    simp = mask_of(simplicial_vertices(g))
+    simp = _simplicial(g)
     cliques = {g.adj[v] | 1 << v for v in bit_indices(simp)}
     return sorted(
         (Simplex(set_of(c), set_of(c & simp)) for c in cliques), key=lambda s: sorted(s.clique))
@@ -229,7 +238,7 @@ def _covers_each_vertex_once(n: int, simps: list[Simplex]) -> bool:
 
 def is_simplicial_graph(g: Graph) -> bool:
     """True iff every vertex is simplicial or adjacent to a simplicial vertex."""
-    simp = mask_of(simplicial_vertices(g))
+    simp = _simplicial(g)
     return simp | _reach(g.adj, simp) == g.full_mask()
 
 
@@ -241,38 +250,57 @@ def is_simplicial_graph(g: Graph) -> bool:
 def alpha_minus_stable(g: Graph, cap=None) -> bool:
     """True iff deleting any single edge leaves the stability number unchanged.
 
-    Deleting the edge uv raises alpha exactly when a stable set of size
-    alpha - 1 avoids the closed neighbourhoods of both u and v, so each edge
-    costs one search that stops at the first such set.  No search is needed
-    when a vertex v outside a maximum stable set S has one neighbour u in
-    it: S + v is stable once uv is deleted.
+    Deleting the edge uv raises alpha exactly when a stable set T of size
+    alpha - 1 avoids N[u] and N[v].  No search is needed when a vertex v
+    outside a maximum stable set S has one neighbour u in it: S + v is
+    stable once uv is deleted.  Otherwise, T + u and T + v are maximum, so u
+    and v are outside the core K and T contains K: only edges outside N[K]
+    are searched, each for alpha - 1 - |K| vertices of G - N[K] - N[u] - N[v].
     """
     s = mask_of(maximum_stable_set(g, cap))
-    alpha, full = s.bit_count(), g.full_mask()
-    if any((g.adj[v] & s).bit_count() == 1 for v in bit_indices(full & ~s)):
+    adj, full = g.adj, g.full_mask()
+    if any((adj[v] & s).bit_count() == 1 for v in bit_indices(full & ~s)):
         return False
+    core = _core(g)
+    room = full & ~core & ~_reach(adj, core)
+    need = s.bit_count() - 1 - core.bit_count()
     return all(
-        _alpha_mask(g.adj, full & ~(g.adj[u] | g.adj[v]), alpha - 2, alpha - 1)[1] is None
-        for u, v in g.edges()
+        _alpha_mask(adj, room & ~(adj[u] | adj[v]), need - 1, need)[1] is None
+        for u in bit_indices(room) for v in bit_indices(adj[u] & room) if u < v
     )
 
 
 def _omega_core(g: Graph, cap=None) -> frozenset[int]:
     """The vertices that lie in every maximum stable set.
 
-    They all lie in any one maximum stable set S.  A vertex v of S is out of
-    the core exactly when G - v still has a stable set of size alpha; that
-    set is itself maximum, so only the candidates inside it stay.
+    They all lie in any one maximum stable set S, tried vertex by vertex.
+    Every maximum stable set contains the vertices F already proven in the
+    core, so one that misses the candidate v is F + T, for a stable set T of
+    alpha - |F| vertices in G - N[F] - v.  If there is one, v is out of the
+    core, and only the candidates in T stay.
     """
-    core = left = mask_of(maximum_stable_set(g, cap))
-    alpha, full = core.bit_count(), g.full_mask()
+    _check_cap(g.n, cap, DEFAULT_CAP_N, SOLVER_CAP)
+    return set_of(_core(g))
+
+
+@_store
+def _core(g: Graph) -> int:
+    # room is V - N[F] for the proven members F, need is alpha - |F|, and F
+    # is the part of the core outside room
+    adj = g.adj
+    core = left = mask_of(_least_maximum_stable_set(g))
+    room, need = g.full_mask(), core.bit_count()
     while left:
         b = left & -left
-        other = _alpha_mask(g.adj, full & ~b, alpha - 1, alpha)[1]
-        if other is not None:
-            core &= other
-        left &= core & ~b
-    return set_of(core)
+        left ^= b
+        other = _alpha_mask(adj, room & ~b, need - 1, need)[1]
+        if other is None:
+            room &= ~adj[b.bit_length() - 1] & ~b
+            need -= 1
+        else:
+            core &= other | ~room
+            left &= core
+    return core
 
 
 def alpha_plus_class(g: Graph, cap=None) -> AlphaPlusClass:
@@ -374,7 +402,7 @@ def omega_is_matroid(g: Graph, cap_omega=None) -> bool:
             exchange = False
             break
 
-    cliques = len(simplicial_vertices(g)) == g.n
+    cliques = _simplicial(g) == g.full_mask()
 
     if exchange != cliques:
         raise InternalCheckError(
@@ -397,12 +425,12 @@ def classify(g: Graph, cap=None) -> ClassificationReport:
     wc = is_well_covered(g, cap)
     vwc = is_very_well_covered(g, cap)
     ke = is_koenig_egervary(g, cap)
-    core = _omega_core(g, cap)
+    plus = alpha_plus_class(g, cap)
     aminus = alpha_minus_stable(g, cap)
 
     witnesses: dict = {
         "maximum_stable_set": sorted(maximum_stable_set(g, cap)),
-        "omega_core": sorted(core),
+        "omega_core": sorted(_omega_core(g, cap)),
     }
     if ss:
         witnesses["square_stable_distance3_set"] = sorted(square_stable_witness(g, cap))
@@ -430,8 +458,8 @@ def classify(g: Graph, cap=None) -> ClassificationReport:
         chordal=is_chordal(g),
         simplex_partition=_covers_each_vertex_once(g.n, simps),
         alpha_minus=aminus,
-        alpha_plus_class=_CLASS_BY_CORE_SIZE[min(len(core), 2)],
-        omega_matroid=len(simplicial_vertices(g)) == g.n,
+        alpha_plus_class=plus,
+        omega_matroid=_simplicial(g) == g.full_mask(),
         witnesses=witnesses,
     )
 

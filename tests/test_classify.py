@@ -1,8 +1,11 @@
+import importlib
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from squarestable.classify import (
+    _CLASS_BY_CORE_SIZE,
     AlphaPlusClass,
     _omega_core,
     alpha_minus_stable,
@@ -34,14 +37,17 @@ from squarestable.generate import (
     named_fixture,
     path_graph,
     random_connected_graph,
+    random_tree,
     sample_corpus,
     star_graph,
 )
-from squarestable.graphs import Graph, distance_matrix, isolated_vertices, square
+from squarestable.graphs import Graph, bit_indices, distance_matrix, isolated_vertices, square
 from squarestable.solvers import (
+    _alpha_mask,
     enumerate_maximum_stable_sets,
     independent_domination_number,
     maximum_stable_set,
+    stability_number,
 )
 from oracles import (
     alpha_minus_by_edge_deletion,
@@ -58,6 +64,8 @@ from oracles import (
     simplicial_graph_by_vertex_pairs,
 )
 from strategies import chordal_graphs, graphs, graphs_with_pendants, sparse_graphs
+
+classify_module = importlib.import_module("squarestable.classify")
 
 DIAMOND = named_fixture("diamond")
 
@@ -288,6 +296,102 @@ def test_decision_searches_match_their_definitions(g):
         assert alpha_minus_stable(h) == alpha_minus_by_edge_deletion(h), h
         assert independent_domination_number(h) == oracle_idom(h), h
         assert sorted(maximum_stable_set(h)) == min(sorted(s) for s in oracle_omega(h)), h
+
+
+def _spider(legs: int) -> Graph:
+    # a centre with legs of two edges each: the centre and the leg ends are
+    # the one maximum stable set
+    return Graph.from_edges(2 * legs + 1, [e for i in range(legs)
+                                           for e in ((0, 2 * i + 1), (2 * i + 1, 2 * i + 2))])
+
+
+def _assert_edge_edit_classes_match_the_oracles(g: Graph) -> frozenset:
+    core = omega_core_by_intersection(g)
+    assert _omega_core(g) == core, g
+    assert alpha_plus_class(g) is _CLASS_BY_CORE_SIZE[min(len(core), 2)], g
+    aminus = alpha_minus_stable(g)
+    assert aminus == alpha_minus_by_edge_deletion(g), g
+    assert aminus == alpha_minus_by_omega_neighbourhoods(g), g
+    return core
+
+
+def test_core_and_edge_deletion_match_the_oracles_on_non_empty_cores():
+    # Trees, stars, spiders and random connected graphs, many of them with a
+    # core, so the core search narrows to G - N[F] and only the edges
+    # outside N[K] are searched.  A star or spider has one maximum stable
+    # set, so |K| = alpha and no edge is searched.
+    cored = 0
+    for n in range(2, 19):
+        for s in range(4):
+            cored += bool(_assert_edge_edit_classes_match_the_oracles(random_tree(n, s)))
+    for k in range(1, 9):
+        for g in (star_graph(k + 1), _spider(k)):
+            assert len(_assert_edge_edit_classes_match_the_oracles(g)) == stability_number(g), g
+    for n in range(13, 21):
+        for s in range(8):
+            cored += bool(_assert_edge_edit_classes_match_the_oracles(random_connected_graph(n, s)))
+    assert cored >= 60, cored
+
+
+def test_edge_deletion_when_the_core_is_one_short_of_alpha():
+    # In the paw, K = {0} and alpha = 2, and the edge 23 lies outside N[K]:
+    # K alone is the alpha - 1 set that deleting 23 extends, so the search
+    # for alpha - 1 - |K| = 0 more vertices must find the empty set.  Here,
+    # as whenever |K| = alpha - 1, the one-neighbour shortcut decides first:
+    # every vertex of G - N[K] outside a maximum stable set S = K + x is
+    # adjacent to x, and so has one neighbour in S.
+    paw = named_fixture("k3_plus_e")
+    assert paw.edges() == [(0, 1), (1, 2), (1, 3), (2, 3)]
+    assert _assert_edge_edit_classes_match_the_oracles(paw) == {0}
+    assert not alpha_minus_stable(paw)
+    assert _alpha_mask(paw.adj, 0b1100 & ~(paw.adj[2] | paw.adj[3]), -1, 0) == (0, 0)
+
+
+def test_critical_edge_outside_the_cores_neighbourhood():
+    # Graphs with a core where every vertex outside the least maximum stable
+    # set has two neighbours in it, so the shortcut misses, and an edge
+    # outside N[K] is critical; none of the connected graphs to 7 vertices
+    # is one.  random_connected_graph(8, 145) has K = {2} and alpha = 3,
+    # random_connected_graph(10, 20) K = {3, 8} and alpha = 5.
+    for n, s, core in ((8, 145, {2}), (10, 20, {3, 8})):
+        g = random_connected_graph(n, s)
+        sset = maximum_stable_set(g)
+        assert all(len(sset & set(bit_indices(g.adj[v]))) >= 2 for v in range(n) if v not in sset)
+        assert _assert_edge_edit_classes_match_the_oracles(g) == core
+        assert not alpha_minus_stable(g)
+
+
+def test_capped_edge_edit_classes_are_refused_after_the_core_is_stored():
+    g = random_connected_graph(20, 3)
+    assert _omega_core(g) == omega_core_by_intersection(g)
+    for _ in range(2):
+        for f in (_omega_core, alpha_plus_class, alpha_minus_stable):
+            with pytest.raises(CapExceededError):
+                f(g, 19)
+
+
+def test_core_and_edge_deletion_search_fewer_vertices(monkeypatch):
+    # The vertices handed to the alpha search by the core and by
+    # alpha_minus_stable over these 30 graphs.  Searching G - N[F] for the
+    # core and only the edges outside N[K], with the core computed once,
+    # hands it 1,942 vertices; searching the whole graph each time handed it
+    # 4,235.
+    searched = 0
+    search = classify_module._alpha_mask
+
+    def counted(adj, mask, floor, stop):
+        nonlocal searched
+        searched += mask.bit_count()
+        return search(adj, mask, floor, stop)
+
+    monkeypatch.setattr(classify_module, "_alpha_mask", counted)
+    classify_module._core.cache_clear()
+    for n in (12, 18, 24):
+        for s in range(10):
+            g = random_connected_graph(n, s)
+            _omega_core(g)
+            alpha_minus_stable(g)
+    assert searched <= 1942, searched
 
 
 # ---------------------------------------------------------------------------
