@@ -253,9 +253,10 @@ def alpha_minus_stable(g: Graph, cap=None) -> bool:
     Deleting the edge uv raises alpha exactly when a stable set T of size
     alpha - 1 avoids N[u] and N[v].  No search is needed when a vertex v
     outside a maximum stable set S has one neighbour u in it: S + v is
-    stable once uv is deleted.  Otherwise, T + u and T + v are maximum, so u
-    and v are outside the core K and T contains K: only edges outside N[K]
-    are searched, each for alpha - 1 - |K| vertices of G - N[K] - N[u] - N[v].
+    stable once uv is deleted.  Otherwise, T + u and T + v are maximum, so
+    neither u nor v is in the core K, T contains K, and u and v lie outside
+    N[K].  Only those edges are searched, each for alpha - 1 - |K| vertices
+    of G - N[K] - N[u] - N[v].
     """
     s = mask_of(maximum_stable_set(g, cap))
     adj, full = g.adj, g.full_mask()

@@ -33,10 +33,11 @@ the enumeration of maximum stable sets here and
 
 Each value is computed once per graph.  A cap-free private helper computes
 it and keeps it for the last few graphs asked about, in a bounded store
-(``graphs._store``, which also keeps ``square`` and the maximum matching):
-the stability number, the lexicographically least maximum stable set, the
-family of maximum stable sets, the domination and independent domination
-numbers and the minimum clique cover.  Each public function checks its cap
+(``graphs._store``, which also keeps ``square``, the maximum matching, and
+the core and simplicial vertices of ``classify``): the stability number,
+the lexicographically least maximum stable set, the family of maximum
+stable sets, the domination and independent domination numbers and the
+minimum clique cover.  Each public function checks its cap
 before it reads the store, so a refused call is refused again every time,
 and hands out a fresh copy of a stored list.
 """
