@@ -290,6 +290,9 @@ def test_corpus_ordering_is_deterministic():
     b = [(g.n, to_graph6(g)) for g in enumerate_corpus(5)]
     assert a == b
     assert a == sorted(a)  # by order, then canonical key
+    # the column codes are sorted, which is graph6 order within an order
+    keys = [(g.n, to_graph6(g)) for g in enumerate_corpus(7, connected_only=False)]
+    assert all(x < y for x, y in zip(keys, keys[1:]))
 
 
 def test_corpus_cap():

@@ -136,6 +136,29 @@ def test_graph6_long_form_round_trip():
     assert parse_graph6(s) == g
 
 
+def _graph6_both_ways(nx, g):
+    h = nx.Graph()
+    h.add_nodes_from(range(g.n))
+    h.add_edges_from(g.edges())
+    text = nx.to_graph6_bytes(h, header=False).decode().strip()
+    assert to_graph6(g) == text
+    assert parse_graph6(text) == g
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 61, 62, 63, 64, 100])
+def test_graph6_matches_networkx_both_ways(n):
+    # 63 and up take the long form, which round trips alone would not pin
+    nx = pytest.importorskip("networkx")
+    for seed, p in enumerate((0.1, 0.5, 0.9)):
+        h = nx.gnp_random_graph(n, p, seed=seed)
+        _graph6_both_ways(nx, Graph.from_edges(n, h.edges()))
+
+
+@given(graphs(max_n=12))
+def test_graph6_matches_networkx_on_small_graphs(g):
+    _graph6_both_ways(pytest.importorskip("networkx"), g)
+
+
 # ---------------------------------------------------------------------------
 # square
 # ---------------------------------------------------------------------------
