@@ -43,7 +43,13 @@ from .graphs import (
     square,
     to_graph6,
 )
-from .solvers import enumerate_maximum_stable_sets, invariant_chain
+from .solvers import (
+    DEFAULT_CAP_N,
+    SOLVER_CAP,
+    _check_cap,
+    enumerate_maximum_stable_sets,
+    invariant_chain,
+)
 from .verify import SUITE_NAMES, run_suite
 
 SCHEMA = "squarestable/1"
@@ -272,7 +278,7 @@ def _corpus_from_args(args) -> tuple[list[tuple[str, Graph]], dict, bool]:
         if args.max_n < 1:
             raise ParseError(f"--max-n must be at least 1, got {args.max_n}")
         items = [
-            (f"{to_graph6(g)}", g)
+            (to_graph6(g), g)
             for g in sample_corpus(args.sample, args.max_n, args.seed,
                                    not args.include_disconnected)
         ]
@@ -339,6 +345,8 @@ def cmd_generate(args) -> int:
 
 def cmd_canonical(args) -> int:
     for g in _graph6_lines(_read_input(args.input)):
+        # the search recurses once per vertex
+        _check_cap(g.n, args.cap_n, DEFAULT_CAP_N, SOLVER_CAP)
         print(canonical_graph6(g))
     return EXIT_OK
 
@@ -413,7 +421,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     pc = sub.add_parser("canonical", help="canonical graph6 form of input graphs")
     pc.add_argument("input", nargs="?", default="-")
-    pc.set_defaults(fn=cmd_canonical)
+    # no cap flags: the solver cap is SQSTABLE_CAP_N or its default
+    pc.set_defaults(fn=cmd_canonical, cap_n=None, cap_omega=None)
 
     return parser
 

@@ -12,7 +12,7 @@ import random
 from importlib import resources
 from typing import Iterator
 
-from .graphs import Graph, is_connected, parse_edge_list, to_graph6
+from .graphs import Graph, _flip, _rows, is_connected, parse_edge_list, to_graph6
 
 EXHAUSTIVE_MAX_N = 9
 
@@ -149,9 +149,9 @@ def named_fixture(name: str) -> Graph:
 def _least_columns(adj: list[int], best: list[int], first_only: bool) -> bool:
     """Lower ``best`` in place to the least column code of any relabelling.
 
-    Column k of a relabelling (v0, v1, ...) is the bit string of the
-    adjacencies of v_k to v0..v_(k-1), v0 first; codes compare column by
-    column, and ``best[k] == 1 << n`` marks a level not yet set.
+    Column k of a relabelling (v0, v1, ...) holds the adjacencies of v_k to
+    v0..v_(k-1), v0 first (``graphs._rows`` owns the bit order); codes
+    compare column by column, and ``best[k] == 1 << n`` marks an unset level.
     Backtracking extends a prefix of the relabelling by one vertex per level.
     A node decides its level for all unused vertices at once, with one mask
     operation per prefix vertex, most significant first: ``eq`` is the set
@@ -232,20 +232,9 @@ def _least_columns(adj: list[int], best: list[int], first_only: bool) -> bool:
     return rec(infinity - 1)
 
 
-def _columns(adj: list[int]) -> list[int]:
-    """The column code of the identity labelling."""
-    cols = []
-    for k, ak in enumerate(adj):
-        col = 0
-        for i in range(k):
-            col = (col << 1) | (ak >> i & 1)
-        cols.append(col)
-    return cols
-
-
 def canonical_graph(g: Graph) -> Graph:
-    """The canonically labelled copy of ``g``: the vertex relabelling whose
-    column-by-column upper-triangle bit string is lexicographically minimal.
+    """The canonically labelled copy of ``g``: the vertex relabelling with
+    the least column code, whose bit order ``graphs._rows`` owns.
 
     Found by the backtracking search of ``_least_columns``, which settles
     each level's least column before it branches and tries one vertex of
@@ -260,13 +249,7 @@ def canonical_graph(g: Graph) -> Graph:
         return g
     best = [1 << n] * n
     _least_columns(list(g.adj), best, first_only=False)
-    edges = []
-    for k in range(1, n):
-        col = best[k]
-        for i in range(k):
-            if col >> (k - 1 - i) & 1:
-                edges.append((i, k))
-    return Graph.from_edges(n, edges)
+    return Graph(n, _rows(best))
 
 
 def canonical_graph6(g: Graph) -> str:
@@ -281,7 +264,9 @@ def enumerate_corpus(max_n: int, connected_only: bool = True) -> Iterator[Graph]
     generation (Read; Faradzev): a canonical graph minus its last vertex is
     canonical, so each canonical graph on k + 1 vertices is exactly one of
     the extensions of a canonical graph on k vertices by a new last vertex,
-    namely one whose own labelling passes the canonicity test.
+    namely one whose own labelling passes the canonicity test.  A level
+    holds column codes, whose bit order ``graphs._rows`` owns; graph6 joins
+    the same columns at fixed widths, so sorted codes are in graph6 order.
     """
     if max_n < 1:
         raise ValueError("max_n must be at least 1")
@@ -290,22 +275,23 @@ def enumerate_corpus(max_n: int, connected_only: bool = True) -> Iterator[Graph]
             f"exhaustive enumeration capped at {EXHAUSTIVE_MAX_N} vertices; "
             "use sample_corpus beyond that"
         )
-    level = [Graph(1, (0,))]
+    level = [[0]]  # the column codes of the canonical graphs on k vertices
     for k in range(1, max_n + 1):
         if k > 1:
             nxt = []
-            for g in level:
-                cols = _columns(g.adj)
+            for cols in level:
+                adj = _rows(cols)
                 # a new last column below twice the one before it is not
                 # least: swapping the last two vertices lowers it
                 for col in range(cols[-1] << 1, 1 << (k - 1)):
-                    new = sum(1 << i for i in range(k - 1) if col >> (k - 2 - i) & 1)
-                    adj = [a | (new >> i & 1) << (k - 1) for i, a in enumerate(g.adj)]
-                    adj.append(new)
-                    if not _least_columns(adj, cols + [col], first_only=True):
-                        nxt.append(Graph(k, tuple(adj)))
-            level = sorted(nxt, key=to_graph6)
-        for g in level:
+                    new = _flip(col, k - 1)
+                    child = [a | (new >> i & 1) << (k - 1) for i, a in enumerate(adj)] + [new]
+                    code = cols + [col]
+                    if not _least_columns(child, code, first_only=True):
+                        nxt.append(code)
+            level = sorted(nxt)
+        for cols in level:
+            g = Graph(k, _rows(cols))
             if not connected_only or is_connected(g):
                 yield g
 

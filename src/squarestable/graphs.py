@@ -227,6 +227,9 @@ def format_edge_list(g: Graph, comments: Iterable[str] = ()) -> str:
 
 
 _G6_HEADER = ">>graph6<<"
+# a graph6 character and the six bits of the payload it carries
+_G6_BITS = {d + 63: format(d, "06b") for d in range(64)}
+_G6_CHARS = {bits: chr(c) for c, bits in _G6_BITS.items()}
 
 
 def parse_graph6(text: str) -> Graph:
@@ -236,61 +239,59 @@ def parse_graph6(text: str) -> Graph:
         s = s[len(_G6_HEADER):].strip()
     if not s:
         raise ParseError("empty graph6 string")
-    data = [ord(c) - 63 for c in s]
-    if any(x < 0 or x > 63 for x in data):
+    if min(s) < "?" or max(s) > "~":
         raise ParseError("invalid character in graph6 string")
-    if data[0] == 63:
-        if len(data) < 4:
+    if s[0] == "~":
+        if len(s) < 4:
             raise ParseError("truncated graph6 long-form header")
-        if data[1] == 63:
+        if s[1] == "~":
             raise ParseError("graph6 8-byte order encoding not supported")
-        n = (data[1] << 12) | (data[2] << 6) | data[3]
-        body = data[4:]
+        n, body = int(s[1:4].translate(_G6_BITS), 2), s[4:]
     else:
-        n = data[0]
-        body = data[1:]
+        n, body = ord(s[0]) - 63, s[1:]
     nbits = n * (n - 1) // 2
     need = (nbits + 5) // 6
     if len(body) != need:
         raise ParseError(f"graph6 payload has {len(body)} sextets, expected {need} for n={n}")
-    bits = []
-    for x in body:
-        bits.extend((x >> s6) & 1 for s6 in (5, 4, 3, 2, 1, 0))
-    if any(bits[nbits:]):
+    bits = body.translate(_G6_BITS)
+    if "1" in bits[nbits:]:
         raise ParseError("nonzero padding bits in graph6 payload")
-    edges = []
-    k = 0
-    for j in range(1, n):
-        for i in range(j):
-            if bits[k]:
-                edges.append((i, j))
-            k += 1
-    return Graph.from_edges(n, edges)
+    cols = [int("0" + bits[k * (k - 1) // 2:k * (k + 1) // 2], 2) for k in range(n)]
+    return Graph(n, _rows(cols))
 
 
 def to_graph6(g: Graph) -> str:
     """Encode a graph as a graph6 string (short form for n <= 62)."""
     n = g.n
-    if n <= 62:
-        head = [chr(n + 63)]
-    elif n <= 258047:
-        head = ["~", chr((n >> 12) + 63), chr(((n >> 6) & 63) + 63), chr((n & 63) + 63)]
-    else:
+    if n > 258047:
         raise ValueError("graph too large for supported graph6 forms")
-    bits = []
-    for j in range(1, n):
-        col = g.adj[j]
-        for i in range(j):
-            bits.append(col >> i & 1)
-    while len(bits) % 6:
-        bits.append(0)
-    out = head
-    for k in range(0, len(bits), 6):
-        x = 0
-        for b in bits[k:k + 6]:
-            x = (x << 1) | b
-        out.append(chr(x + 63))
-    return "".join(out)
+    head = chr(n + 63) if n <= 62 else "~" + "".join(chr((n >> s & 63) + 63) for s in (12, 6, 0))
+    nbits = n * (n - 1) // 2
+    code = 1  # a leading 1, dropped below, keeps the code's leading zeros
+    for k in range(1, n):
+        code = code << k | _flip(g.adj[k], k)
+    bits = format(code << (-nbits % 6), "b")[1:]
+    return head + "".join(_G6_CHARS[bits[i:i + 6]] for i in range(0, nbits, 6))
+
+
+def _flip(x: int, k: int) -> int:
+    """The low ``k`` bits of ``x`` in reverse order: a column of the column
+    code as the row bits below its vertex, and back."""
+    return int("0" + format(x, f"0{k}b")[:-k - 1:-1], 2)
+
+
+def _rows(columns: list[int]) -> tuple[int, ...]:
+    """The adjacency masks of a column code, whose bit order this function
+    and ``_flip`` own: column k holds the adjacencies of vertex k to vertices
+    0..k-1, vertex 0 most significant.  graph6 packs this code into sextets,
+    and the canonical form of ``generate`` is the least such code."""
+    rows = [_flip(col, k) for k, col in enumerate(columns)]
+    for k, low in enumerate(rows):  # later vertices only add bits above k
+        while low:
+            b = low & -low
+            rows[b.bit_length() - 1] |= 1 << k
+            low ^= b
+    return tuple(rows)
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,7 @@ import enum
 from collections import deque
 from typing import Iterable, Optional
 
-from .graphs import Graph, _store, bit_indices, mask_of, pendant_vertices
+from .graphs import Graph, _store, _vertex_mask, bit_indices, mask_of, pendant_vertices
 
 #: A matching is a frozenset of (u, v) edges with u < v, pairwise non-incident.
 Matching = frozenset
@@ -262,7 +262,7 @@ def match_into(g: Graph, a: Iterable[int], s: Iterable[int], cap: int = 2):
     none / unique / several).  Returns ``(count, witness)`` where the witness
     is the first matching found, or ``None``.
     """
-    amask, smask = mask_of(a), mask_of(s)
+    amask, smask = _vertex_mask(g.n, a), _vertex_mask(g.n, s)
     if amask & smask:
         raise ValueError("the two vertex sets must be disjoint")
     return _count_matchings_into(g, amask, smask, cap)

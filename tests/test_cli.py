@@ -548,6 +548,23 @@ def test_canonical_command(capsys, tmp_path):
     assert lines[0] == lines[1]
 
 
+def test_canonical_refuses_graphs_over_the_solver_cap(capsys, tmp_path, monkeypatch):
+    # the search recurses once per vertex; the lines before a refused one
+    # are still answered
+    monkeypatch.delenv("SQSTABLE_CAP_N", raising=False)
+    path = tmp_path / "in.g6"
+    path.write_text("Dhc\n" + to_graph6(Graph(1200, (0,) * 1200)) + "\n")
+    assert run_cli(capsys, "canonical", str(path)) == (
+        3, canonical_graph6(parse_graph6("Dhc")) + "\n",
+        "error: exact solver cap exceeded (1200 > 64)\n")
+    edgeless = to_graph6(Graph(64, (0,) * 64))
+    path.write_text(edgeless + "\n")
+    assert run_cli(capsys, "canonical", str(path)) == (0, edgeless + "\n", "")
+    monkeypatch.setenv("SQSTABLE_CAP_N", "63")
+    assert run_cli(capsys, "canonical", str(path)) == (
+        3, "", "error: exact solver cap exceeded (64 > 63)\n")
+
+
 def test_stdin_pipeline(capsys, monkeypatch):
     import io
 

@@ -35,7 +35,7 @@ from squarestable.graphs import (
     symmetric_difference_subgraph,
     to_graph6,
 )
-from squarestable.matchings import is_valid_matching
+from squarestable.matchings import is_valid_matching, match_into
 from oracles import (
     oracle_distances,
     oracle_girth,
@@ -484,6 +484,9 @@ def test_has_edge_is_false_unless_both_endpoints_are_vertices():
     pytest.param(lambda g: g.degree(-1), -1, id="degree-negative"),
     pytest.param(lambda g: p1_unique_matchability(g, [0, 5]), 5, id="p1_unique_matchability"),
     pytest.param(lambda g: p2_exchangeability(g, [0, 5]), 5, id="p2_exchangeability"),
+    pytest.param(lambda g: match_into(g, {5}, {0}), 5, id="match_into"),
+    pytest.param(lambda g: match_into(g, {-1}, {0}), -1, id="match_into-negative"),
+    pytest.param(lambda g: match_into(g, {0}, {5}), 5, id="match_into-into"),
 ])
 def test_out_of_range_vertices_are_refused_by_name(call, bad):
     with pytest.raises(ValueError, match=f"vertex {bad} out of range"):
