@@ -26,7 +26,6 @@ from .graphs import (
     _store,
     _vertex_mask,
     bit_indices,
-    induced_subgraph,
     is_chordal,
     is_stable_set,
     isolated_vertices,
@@ -189,9 +188,8 @@ def pendants_contain_maximum_stable_set(g: Graph, cap=None) -> bool:
     vertices", but in K2 the two pendants are adjacent and only one can be
     picked.
     """
-    pend = pendant_vertices(g)
-    sub, _ = induced_subgraph(g, pend)
-    return stability_number(sub, cap) == stability_number(g, cap)
+    alpha = stability_number(g, cap)
+    return _alpha_mask(g.adj, mask_of(pendant_vertices(g)), alpha - 1, alpha)[1] is not None
 
 
 # ---------------------------------------------------------------------------

@@ -443,6 +443,10 @@ def main(argv=None) -> int:
     except CapExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CAP
+    except RecursionError:
+        print(f"error: search deeper than the recursion limit ({sys.getrecursionlimit()})",
+              file=sys.stderr)
+        return EXIT_CAP
 
 
 def run() -> None:

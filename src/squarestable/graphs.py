@@ -75,14 +75,13 @@ class Graph:
         # Each neighbour above a vertex must list it back.  The lower triangle
         # then holds every mirrored bit, so it holds no other bit exactly when
         # the degrees add up to twice the number of upper bits.
-        full = (1 << n) - 1
         upper = 0
         for v, m in enumerate(adj):
             if not isinstance(m, int):
                 raise ValueError("adjacency must be a tuple of ints")
             if m >> v & 1:
                 raise ValueError(f"self-loop at vertex {v}")
-            if m & ~full:
+            if m >> n:
                 raise ValueError(f"neighbour of {v} out of range")
             m >>= v + 1
             upper += m.bit_count()
@@ -467,20 +466,18 @@ def is_complete(g: Graph) -> bool:
 
 
 def is_bipartite(g: Graph) -> bool:
-    color = [-1] * g.n
-    for s in range(g.n):
-        if color[s] != -1:
-            continue
-        color[s] = 0
-        stack = [s]
-        while stack:
-            v = stack.pop()
-            for u in bit_indices(g.adj[v]):
-                if color[u] == -1:
-                    color[u] = 1 - color[v]
-                    stack.append(u)
-                elif color[u] == color[v]:
-                    return False
+    """True iff ``g`` has no odd cycle: no edge joins two vertices of one
+    breadth-first layer of a component, since such an edge closes one."""
+    left = g.full_mask()
+    while left:
+        seen = layer = left & -left
+        while layer:
+            reach = _reach(g.adj, layer)
+            if reach & layer:
+                return False
+            layer = reach & ~seen
+            seen |= layer
+        left &= ~seen
     return True
 
 

@@ -169,20 +169,7 @@ def count_perfect_matchings(g: Graph, cap: int = 2) -> int:
     if g.n % 2:
         return 0
     full = g.full_mask()
-
-    def rec(uncovered: int) -> int:
-        if not uncovered:
-            return 1
-        b = uncovered & -uncovered
-        v = b.bit_length() - 1
-        total = 0
-        for u in bit_indices(g.adj[v] & uncovered):
-            total += rec(uncovered & ~b & ~(1 << u))
-            if total >= cap:
-                return cap
-        return total
-
-    return rec(full)
+    return _count_matchings_into(g, full, full, cap)[0]
 
 
 def has_induced_perfect_matching(g: Graph) -> bool:
@@ -227,32 +214,30 @@ def is_induced_matching(g: Graph, m: Iterable[tuple[int, int]]) -> bool:
 
 
 def _count_matchings_into(g: Graph, amask: int, smask: int, cap: int):
-    """Count matchings saturating the vertex mask ``amask`` into ``smask``,
-    saturated at ``cap``; also return the first witness found."""
-    avs = bit_indices(amask)
-    opts = [g.adj[x] & smask for x in avs]
-    # fail-first: scan the most constrained vertices early
-    order = sorted(range(len(avs)), key=lambda i: (opts[i].bit_count(), avs[i]))
-    avs = [avs[i] for i in order]
-    opts = [opts[i] for i in order]
+    """Count the matchings that match every vertex of ``amask`` to a vertex
+    of ``smask``, saturated at ``cap``, and return the first one found.  The
+    lowest free vertex of ``amask`` goes next, so with ``amask == smask``
+    these are the perfect matchings of the subgraph that mask induces."""
     witness: Optional[frozenset] = None
 
-    def rec(i: int, used: int, acc: list[tuple[int, int]]) -> int:
+    def rec(free: int, acc: list[tuple[int, int]]) -> int:
         nonlocal witness
-        if i == len(avs):
+        left = free & amask
+        if not left:
             if witness is None:
                 witness = frozenset(acc)
             return 1
+        v = (left & -left).bit_length() - 1
         total = 0
-        for y in bit_indices(opts[i] & ~used):
-            acc.append(_normalize(avs[i], y))
-            total += rec(i + 1, used | (1 << y), acc)
+        for u in bit_indices(g.adj[v] & smask & free):
+            acc.append(_normalize(v, u))
+            total += rec(free & ~(1 << u | 1 << v), acc)
             acc.pop()
             if total >= cap:
                 return cap
         return total
 
-    return rec(0, 0, []), witness
+    return rec(amask | smask, []), witness
 
 
 def match_into(g: Graph, a: Iterable[int], s: Iterable[int], cap: int = 2):

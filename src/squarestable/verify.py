@@ -41,7 +41,6 @@ from .graphs import (
     Graph,
     _reach,
     components,
-    distance_matrix,
     girth,
     induced_subgraph,
     is_chordal,
@@ -194,10 +193,11 @@ def verify_equivalences(g: Graph, cap=None, cap_omega=None, graph_id: str = "") 
 def _distance3_attained(g: Graph, cap, cap_omega):
     if not (is_square_stable(g, cap) and is_connected(g) and not is_complete(g)):
         return None
-    dist = distance_matrix(g)
-    return all(
-        any(dist[a][b] == 3 for b in s if b != a) for s in _omega_sq(g, cap_omega) for a in s
-    )
+    # the members of a set lie pairwise at distance at least 3, so another
+    # member next to the radius-2 ball around a lies at distance exactly 3
+    rows = square(g).adj
+    return all(mask_of(s) & ~(1 << a) & _reach(g.adj, rows[a] | 1 << a)
+               for s in _omega_sq(g, cap_omega) for a in s)
 
 
 def _pendant_matching_forces_square_omega(g: Graph, cap, cap_omega) -> bool:

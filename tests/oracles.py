@@ -285,6 +285,15 @@ def oracle_count_perfect_matchings(g: Graph) -> int:
     return rec((1 << g.n) - 1)
 
 
+def oracle_count_matchings_into(g: Graph, a, s) -> int:
+    """The injective maps from ``a`` to ``s`` that send each vertex to a
+    neighbour: for disjoint sets, the matchings that cover ``a`` with every
+    partner in ``s``."""
+    a, s = sorted(a), sorted(s)
+    return sum(all(g.has_edge(u, v) for u, v in zip(a, image))
+               for image in permutations(s, len(a)))
+
+
 def enumerate_perfect_matchings(g: Graph):
     """Yield every perfect matching (deterministic order)."""
     if g.n % 2:

@@ -41,7 +41,14 @@ from squarestable.generate import (
     sample_corpus,
     star_graph,
 )
-from squarestable.graphs import Graph, bit_indices, distance_matrix, isolated_vertices, square
+from squarestable.graphs import (
+    Graph,
+    bit_indices,
+    distance_matrix,
+    isolated_vertices,
+    pendant_vertices,
+    square,
+)
 from squarestable.solvers import (
     _alpha_mask,
     enumerate_maximum_stable_sets,
@@ -55,7 +62,9 @@ from oracles import (
     alpha_plus_by_edge_addition,
     maximal_stable_sets,
     omega_core_by_intersection,
+    oracle_alpha,
     oracle_idom,
+    oracle_induced_subgraph,
     oracle_omega,
     oracle_simplicial_vertices,
     p1_by_stable_subsets,
@@ -289,13 +298,16 @@ def test_one_route_predicates_match_their_definitions():
 @settings(max_examples=150)
 def test_decision_searches_match_their_definitions(g):
     # The searches that stop at a known bound, on graphs with pendant
-    # vertices to fold: the core, edge deletion, idom and the least maximum
-    # stable set.
+    # vertices to fold: the core, edge deletion, idom, the least maximum
+    # stable set and the pendant test.
     for h in (g, square(g)):
         assert _omega_core(h) == omega_core_by_intersection(h), h
         assert alpha_minus_stable(h) == alpha_minus_by_edge_deletion(h), h
         assert independent_domination_number(h) == oracle_idom(h), h
         assert sorted(maximum_stable_set(h)) == min(sorted(s) for s in oracle_omega(h)), h
+        pendants = oracle_induced_subgraph(h, pendant_vertices(h))[0]
+        assert pendants_contain_maximum_stable_set(h) == (
+            oracle_alpha(pendants) == oracle_alpha(h)), h
 
 
 def _spider(legs: int) -> Graph:

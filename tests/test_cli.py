@@ -1,7 +1,9 @@
 import json
 import os
+import re
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 from squarestable import cli, graphs, solvers
@@ -99,11 +101,33 @@ def test_analyze_refuses_before_any_search(capsys, tmp_path):
 
 
 def test_analyze_refuses_a_large_edge_list_at_once(capsys, tmp_path):
-    # a graph far over the solver cap is built and refused without a search
+    # a graph far over the solver cap is built and refused without a search,
+    # in time linear in the vertex count
     path = tmp_path / "large.edges"
-    path.write_text("n 5000\n0 1\n")
-    code, out, err = run_cli(capsys, "analyze", "--format", "edges", str(path))
-    assert (code, out, err) == (3, "", "error: exact solver cap exceeded (5000 > 64)\n")
+    for n in (5000, 1_000_000):
+        path.write_text(f"n {n}\n0 1\n")
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, "analyze", "--format", "edges", str(path))
+        assert time.perf_counter() - start < 10, n
+        assert (code, out, err) == (3, "", f"error: exact solver cap exceeded ({n} > 64)\n")
+
+
+def test_searches_deeper_than_the_recursion_limit_exit_3():
+    # a refusal, not a traceback; the lines answered before it stay printed
+    src = Path(cli.__file__).resolve().parents[1]
+    dhc = canonical_graph6(parse_graph6("Dhc")) + "\n"
+    edgeless, cycle = to_graph6(Graph(1200, (0,) * 1200)), to_graph6(cycle_graph(2100))
+    for argv, text, out in ((["canonical"], f"Dhc\n{edgeless}\n", dhc),
+                            (["canonical"], f"Dhc\n{cycle}\n", dhc),
+                            (["analyze"], cycle + "\n", "")):
+        proc = subprocess.run(
+            [sys.executable, "-m", "squarestable", *argv], input=text,
+            capture_output=True, text=True, timeout=60,
+            env=dict(os.environ, PYTHONPATH=str(src), SQSTABLE_CAP_N="3000"),
+        )
+        assert (proc.returncode, proc.stdout) == (3, out), argv
+        assert re.fullmatch(r"error: search deeper than the recursion limit \(\d+\)\n",
+                            proc.stderr), proc.stderr
 
 
 def test_analyze_answers_above_the_enumeration_cap(capsys, tmp_path):

@@ -243,6 +243,16 @@ def test_components_and_connectivity_match_networkx(g):
     assert is_connected(g) == (len(expected) <= 1)
 
 
+@given(st.one_of(graphs(max_n=10), sparse_graphs()))
+@settings(max_examples=300)
+def test_is_bipartite_matches_networkx(g):
+    nx = pytest.importorskip("networkx")
+    h = nx.Graph()
+    h.add_nodes_from(range(g.n))
+    h.add_edges_from(g.edges())
+    assert is_bipartite(g) == nx.is_bipartite(h), g
+
+
 def test_complement_examples():
     assert complement(complete_graph(4)).edge_count == 0
     co_c5 = complement(cycle_graph(5))

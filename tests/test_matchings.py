@@ -31,6 +31,7 @@ from oracles import (
     enumerate_perfect_matchings,
     induced_perfect_matching_by_enumeration,
     oracle_alpha,
+    oracle_count_matchings_into,
     oracle_count_perfect_matchings,
     oracle_mu,
     random_graph,
@@ -131,7 +132,8 @@ def test_unique_perfect_matching_agrees_with_counting(g):
         assert count == 1 and is_perfect_matching(g, m)
     else:
         assert count >= 2
-    assert count_perfect_matchings(g, cap=3) == min(count, 3)
+    for cap in (1, 2, 3):
+        assert count_perfect_matchings(g, cap=cap) == min(count, cap)
 
 
 def test_enumerate_perfect_matchings():
@@ -237,6 +239,24 @@ def test_match_into_examples():
     assert count == 1 and witness == frozenset()
     with pytest.raises(ValueError):
         match_into(path_graph(4), {0, 1}, {1, 3})
+
+
+@given(graphs(max_n=8), st.data())
+@settings(max_examples=150)
+def test_match_into_matches_the_injective_maps(g, data):
+    # each vertex lies in A, in S or in neither
+    side = data.draw(st.lists(st.integers(0, 2), min_size=g.n, max_size=g.n))
+    a = {v for v in range(g.n) if side[v] == 1}
+    s = {v for v in range(g.n) if side[v] == 2}
+    expected = oracle_count_matchings_into(g, a, s)
+    for cap in (1, 2, 5):
+        count, witness = match_into(g, a, s, cap)
+        assert count == min(expected, cap), (g, a, s, cap)
+        assert (witness is None) == (count == 0)
+        if witness is not None:
+            assert is_valid_matching(g, witness)
+            assert len(witness) == len(a)
+            assert all((u in a and v in s) or (v in a and u in s) for u, v in witness)
 
 
 def test_match_into_cap_saturates():

@@ -7,17 +7,19 @@ from squarestable.generate import (
     complete_graph,
     corona_with_k1,
     cycle_graph,
+    enumerate_corpus,
     named_fixture,
     path_graph,
     sample_corpus,
     star_graph,
 )
-from squarestable.graphs import Graph, square, to_graph6
+from squarestable.graphs import INFINITE, Graph, square, to_graph6
 from squarestable.classify import is_koenig_egervary
 from squarestable.solvers import invariant_chain
 from squarestable.verify import (
     STATEMENT_NAMES,
     SUITE_NAMES,
+    _distance3_attained,
     girth6_applicable,
     implication_clauses,
     run_suite,
@@ -25,6 +27,7 @@ from squarestable.verify import (
     verify_girth6,
     verify_tree_theorem,
 )
+from oracles import oracle_alpha, oracle_distances, oracle_omega
 
 
 # ---------------------------------------------------------------------------
@@ -110,6 +113,28 @@ def test_implication_clause_details():
     # diamond is not square-stable: the square-stable implications hold vacuously
     clauses = dict((n, v) for n, v, _ in implication_clauses(named_fixture("diamond")))
     assert clauses["square_stable_not_alpha_minus"] is True
+
+
+def _distance3_attained_by_definition(g: Graph):
+    # Every member of every maximum stable set of the square has another
+    # member at distance exactly 3; None unless g is connected, not complete
+    # and square-stable.  The square, the sets and the distances come from
+    # Floyd-Warshall and subset scans.
+    n, d = g.n, oracle_distances(g)
+    sq = Graph.from_edges(n, [(u, v) for u in range(n) for v in range(u + 1, n) if d[u][v] <= 2])
+    if (any(INFINITE in row for row in d) or g.edge_count == n * (n - 1) // 2
+            or oracle_alpha(g) != oracle_alpha(sq)):
+        return None
+    return all(any(d[a][b] == 3 for b in s if b != a) for s in oracle_omega(sq) for a in s)
+
+
+def test_distance3_clause_matches_its_definition():
+    seen = set()
+    for g in list(enumerate_corpus(7)) + list(sample_corpus(200, 12, 3)):
+        value = _distance3_attained(g, None, None)
+        assert value == _distance3_attained_by_definition(g), g
+        seen.add(value)
+    assert seen == {None, True}
 
 
 def test_fig6_square_loses_koenig_egervary():
