@@ -61,7 +61,6 @@ from .graphs import (
     pendant_vertices,
     perfect_elimination_ordering,
     square,
-    symmetric_difference_subgraph,
     to_graph6,
 )
 from .matchings import (

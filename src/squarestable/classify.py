@@ -328,22 +328,21 @@ def p1_unique_matchability(g: Graph, s) -> bool:
 
 
 def p2_exchangeability(g: Graph, s, cap=None) -> bool:
-    """True iff every non-empty stable set A disjoint from ``s`` extends by
-    part of ``s`` to a maximum stable set.
+    """True iff every non-empty stable set A disjoint from the stable set
+    ``s`` extends by part of ``s`` to a maximum stable set; a non-stable
+    ``s`` raises ``ValueError``.
 
-    A part of ``s`` that keeps A stable misses A's neighbourhood, so A
-    extends exactly when ``s`` has alpha - |A| vertices outside it.  The
-    empty set is vacuously fine: a proper part of ``s`` is never maximum.
+    That part misses N(A), so A extends exactly when |A| - |N(A) & s| >=
+    alpha - |s|: for A = {v}, when v has at most k = |s| + 1 - alpha
+    neighbours in ``s``.  As k <= 1, these bounds add up to |N(A) & s| <=
+    k |A| <= |A| - 1 + k, so the singletons decide every A.
     """
     smask = _vertex_mask(g.n, s)
-    rest = g.full_mask() & ~smask
-    alpha = stability_number(g, cap)
-    for amask in stable_subsets(g, rest):
-        if amask == 0:
-            continue
-        if amask.bit_count() + (smask & ~_reach(g.adj, amask)).bit_count() < alpha:
-            return False
-    return True
+    if _reach(g.adj, smask) & smask:
+        raise ValueError("s must be a stable set")
+    k = smask.bit_count() + 1 - stability_number(g, cap)
+    return all((g.adj[v] & smask).bit_count() <= k
+               for v in bit_indices(g.full_mask() & ~smask))
 
 
 def _require_maximum_stable(g: Graph, s0, cap=None) -> frozenset[int]:

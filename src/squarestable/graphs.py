@@ -397,13 +397,6 @@ def induced_subgraph(g: Graph, vertices: Iterable[int]) -> tuple[Graph, tuple[in
     return Graph(len(vs), tuple(adj)), tuple(vs)
 
 
-def symmetric_difference_subgraph(g: Graph, s1: Iterable[int], s2: Iterable[int]) -> Graph:
-    """Subgraph induced by the symmetric difference of two vertex sets."""
-    a, b = set(s1), set(s2)
-    sub, _ = induced_subgraph(g, (a - b) | (b - a))
-    return sub
-
-
 def girth(g: Graph):
     """Length of a shortest cycle, or :data:`INFINITE` for forests.
 

@@ -40,6 +40,7 @@ from .errors import CapExceededError, InternalCheckError
 from .graphs import (
     Graph,
     _reach,
+    bit_indices,
     components,
     girth,
     induced_subgraph,
@@ -52,15 +53,10 @@ from .graphs import (
     mask_of,
     pendant_vertices,
     square,
-    symmetric_difference_subgraph,
 )
-from .matchings import (
-    count_perfect_matchings,
-    has_induced_perfect_matching,
-    matching_number,
-    pendant_perfect_matching,
-)
+from .matchings import _count_matchings_into, pendant_perfect_matching
 from .solvers import (
+    _alpha_mask,
     clique_cover_number,
     domination_number,
     enumerate_maximum_stable_sets,
@@ -98,11 +94,27 @@ def _isolated(g: Graph) -> bool:
     return g.n == 0 or bool(isolated_vertices(g))
 
 
-def _differences(g: Graph, cap_omega):
-    """G[S1 ^ S2] for every S1 in Omega(G) and S2 in Omega(G^2), each built
-    when the caller reaches it."""
-    omega, omega_sq = _omega(g, cap_omega), _omega_sq(g, cap_omega)
-    return (symmetric_difference_subgraph(g, s1, s2) for s1 in omega for s2 in omega_sq)
+def _all_differences(route, g: Graph, cap_omega) -> bool:
+    """Whether ``route`` holds for the mask S1 ^ S2 of every S1 in Omega(G)
+    and S2 in Omega(G^2).  S2 is stable in G too, so G[S1 ^ S2] is
+    bipartite between S1 - S2 and S2 - S1."""
+    omega, omega_sq = _omega(g, cap_omega), [mask_of(s) for s in _omega_sq(g, cap_omega)]
+    return all(route(g, mask_of(s1) ^ d2) for s1 in omega for d2 in omega_sq)
+
+
+def _unique_pm(g: Graph, d: int) -> bool:
+    return d.bit_count() % 2 == 0 and _count_matchings_into(g, d, d, 2)[0] == 1
+
+
+def _has_pm(g: Graph, d: int) -> bool:
+    # by Koenig, a bipartite G[d] has |d| - alpha(G[d]) matching edges
+    half = d.bit_count() // 2
+    return _alpha_mask(g.adj, d, half, half + 1)[1] is None
+
+
+def _induced_pm(g: Graph, d: int) -> bool:
+    # an induced perfect matching is all of G[d]: every degree there is 1
+    return all((g.adj[v] & d).bit_count() == 1 for v in bit_indices(d))
 
 
 # The thirteen characterisations of square-stability for a connected graph,
@@ -131,14 +143,11 @@ _STATEMENTS = {
         lambda g, cap, cap_omega:
         all(p1_unique_matchability(g, s) for s in _omega_sq(g, cap_omega)),
     "symmetric_differences_unique_pm":
-        lambda g, cap, cap_omega:
-        all(count_perfect_matchings(h, 2) == 1 for h in _differences(g, cap_omega)),
+        lambda g, cap, cap_omega: _all_differences(_unique_pm, g, cap_omega),
     "symmetric_differences_have_pm":
-        lambda g, cap, cap_omega:
-        all(2 * matching_number(h) == h.n for h in _differences(g, cap_omega)),
+        lambda g, cap, cap_omega: _all_differences(_has_pm, g, cap_omega),
     "symmetric_differences_induced_pm":
-        lambda g, cap, cap_omega:
-        all(has_induced_perfect_matching(h) for h in _differences(g, cap_omega)),
+        lambda g, cap, cap_omega: _all_differences(_induced_pm, g, cap_omega),
     "some_set_exchangeable":
         lambda g, cap, cap_omega: any(p2_exchangeability(g, s, cap) for s in _omega(g, cap_omega)),
     "all_square_sets_exchangeable":
@@ -497,7 +506,7 @@ def run_suite(
         for name, res in results.items():
             try:
                 outcome = _SUITES[name](gid, g, cap, cap_omega)
-            except CapExceededError:
+            except (CapExceededError, RecursionError):
                 if strict:
                     raise
                 outcome = None

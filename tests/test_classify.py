@@ -1,4 +1,5 @@
 import importlib
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -48,6 +49,7 @@ from squarestable.graphs import (
     isolated_vertices,
     pendant_vertices,
     square,
+    stable_subsets,
 )
 from squarestable.solvers import (
     _alpha_mask,
@@ -432,6 +434,35 @@ def test_property_p2_examples():
     assert not property_p2(path_graph(4), {0, 2})
     assert not property_p2(cycle_graph(4), {0, 2})
     assert property_p2(complete_graph(3), {1})
+
+
+def test_p2_matches_the_stable_set_scan_on_every_stable_set():
+    for g in enumerate_corpus(6, connected_only=False):
+        for m in stable_subsets(g, g.full_mask()):
+            s = bit_indices(m)
+            assert p2_exchangeability(g, s) == p2_by_stable_subsets(g, s), (g, s)
+
+
+@given(graphs(max_n=8), st.data())
+def test_p2_matches_the_stable_set_scan_on_drawn_stable_sets(g, data):
+    s = bit_indices(data.draw(st.sampled_from(list(stable_subsets(g, g.full_mask())))))
+    assert p2_exchangeability(g, s) == p2_by_stable_subsets(g, s), (g, s)
+
+
+def test_p2_refuses_a_non_stable_set():
+    # with more than alpha vertices, the per-vertex count (True) and the
+    # extension formula (False) part ways on this set
+    g = Graph.from_edges(6, [(0, 5), (1, 5), (2, 3), (2, 4), (3, 4)])
+    with pytest.raises(ValueError, match="s must be a stable set"):
+        p2_exchangeability(g, {0, 1, 2, 3})
+
+
+def test_property_p2_answers_a_64_vertex_corona_at_once():
+    # 2^32 stable sets lie outside the pendants, too many to scan
+    g = corona_with_k1(Graph.from_edges(32, []))
+    start = time.perf_counter()
+    assert property_p2(g, range(32, 64))
+    assert time.perf_counter() - start < 1
 
 
 def test_raw_p_properties_allow_non_maximum_sets():

@@ -113,13 +113,16 @@ def test_analyze_refuses_a_large_edge_list_at_once(capsys, tmp_path):
 
 
 def test_searches_deeper_than_the_recursion_limit_exit_3():
-    # a refusal, not a traceback; the lines answered before it stay printed
+    # a refusal, not a traceback; the lines answered before it stay printed.
+    # verify refuses only with --strict; without, it skips the graph
     src = Path(cli.__file__).resolve().parents[1]
     dhc = canonical_graph6(parse_graph6("Dhc")) + "\n"
     edgeless, cycle = to_graph6(Graph(1200, (0,) * 1200)), to_graph6(cycle_graph(2100))
     for argv, text, out in ((["canonical"], f"Dhc\n{edgeless}\n", dhc),
                             (["canonical"], f"Dhc\n{cycle}\n", dhc),
-                            (["analyze"], cycle + "\n", "")):
+                            (["analyze"], cycle + "\n", ""),
+                            (["verify", "--family", "cycle", "2100", "--suite", "chain",
+                              "--strict"], "", "")):
         proc = subprocess.run(
             [sys.executable, "-m", "squarestable", *argv], input=text,
             capture_output=True, text=True, timeout=60,

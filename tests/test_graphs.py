@@ -32,7 +32,6 @@ from squarestable.graphs import (
     parse_graph6,
     perfect_elimination_ordering,
     square,
-    symmetric_difference_subgraph,
     to_graph6,
 )
 from squarestable.matchings import is_valid_matching, match_into
@@ -289,15 +288,6 @@ def test_induced_subgraph_matches_the_pairwise_oracle(g, data):
     for bad in (g.n, -1):
         with pytest.raises(ValueError, match=f"vertex {bad} out of range"):
             induced_subgraph(g, vertices + [bad])
-
-
-def test_symmetric_difference_subgraph():
-    p4 = path_graph(4)
-    assert symmetric_difference_subgraph(p4, {0, 3}, {0, 3}).n == 0
-    h = symmetric_difference_subgraph(p4, {0, 3}, {0, 2})
-    assert h.n == 2 and h.edges() == [(0, 1)]  # spanned by {2, 3}
-    h2 = symmetric_difference_subgraph(p4, {0}, {3})
-    assert h2.n == 2 and h2.edge_count == 0
 
 
 # ---------------------------------------------------------------------------

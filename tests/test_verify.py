@@ -2,6 +2,8 @@ import json
 import random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from squarestable.generate import (
     complete_graph,
@@ -13,13 +15,30 @@ from squarestable.generate import (
     sample_corpus,
     star_graph,
 )
-from squarestable.graphs import INFINITE, Graph, square, to_graph6
+from squarestable.graphs import (
+    INFINITE,
+    Graph,
+    bit_indices,
+    induced_subgraph,
+    mask_of,
+    square,
+    stable_subsets,
+    to_graph6,
+)
 from squarestable.classify import is_koenig_egervary
-from squarestable.solvers import invariant_chain
+from squarestable.matchings import (
+    count_perfect_matchings,
+    has_induced_perfect_matching,
+    matching_number,
+)
+from squarestable.solvers import enumerate_maximum_stable_sets, invariant_chain
 from squarestable.verify import (
     STATEMENT_NAMES,
     SUITE_NAMES,
     _distance3_attained,
+    _has_pm,
+    _induced_pm,
+    _unique_pm,
     girth6_applicable,
     implication_clauses,
     run_suite,
@@ -28,6 +47,7 @@ from squarestable.verify import (
     verify_tree_theorem,
 )
 from oracles import oracle_alpha, oracle_distances, oracle_omega
+from strategies import graphs
 
 
 # ---------------------------------------------------------------------------
@@ -78,6 +98,30 @@ def test_equivalences_mark_unevaluated_on_cap():
     assert any(v is None for v in report.statements)
     # evaluable statements still agree among themselves
     assert report.agree
+
+
+def assert_mask_routes_match_the_subgraph(g, d):
+    # each symmetric-difference route on the mask d against its definition
+    # on the subgraph G[d], built
+    h, _ = induced_subgraph(g, bit_indices(d))
+    assert _unique_pm(g, d) == (count_perfect_matchings(h, 2) == 1), (g, d)
+    assert _has_pm(g, d) == (2 * matching_number(h) == h.n), (g, d)
+    assert _induced_pm(g, d) == has_induced_perfect_matching(h), (g, d)
+
+
+@given(graphs(max_n=9), st.data())
+def test_mask_routes_match_the_subgraph_on_any_two_stable_sets(g, data):
+    stable = list(stable_subsets(g, g.full_mask()))
+    d = data.draw(st.sampled_from(stable)) ^ data.draw(st.sampled_from(stable))
+    assert_mask_routes_match_the_subgraph(g, d)
+
+
+def test_mask_routes_match_the_subgraph_on_omega_pairs():
+    for g in list(enumerate_corpus(7)) + list(sample_corpus(200, 14, 23)):
+        omega_sq = enumerate_maximum_stable_sets(square(g)).sets
+        for s1 in enumerate_maximum_stable_sets(g).sets:
+            for s2 in omega_sq:
+                assert_mask_routes_match_the_subgraph(g, mask_of(s1 ^ s2))
 
 
 # ---------------------------------------------------------------------------
@@ -261,6 +305,15 @@ def test_run_suite_strict_cap():
     assert report.violations_total == 0  # unevaluated, not violated
     with pytest.raises(CapExceededError):
         run_suite(items, ("matroid",), cap_omega=5, strict=True)
+
+
+def test_run_suite_skips_a_search_deeper_than_the_recursion_limit():
+    items = [("c2100", cycle_graph(2100)), ("p4", path_graph(4))]
+    report = run_suite(items, ("chain",), cap=3000)
+    chain = report.suites[0]
+    assert (chain.graphs_checked, chain.skipped, chain.violations) == (1, 1, [])
+    with pytest.raises(RecursionError):
+        run_suite(items, ("chain",), cap=3000, strict=True)
 
 
 def test_run_suite_random_connected_sample_is_clean():
