@@ -28,7 +28,6 @@ from .graphs import (
     bit_indices,
     is_chordal,
     is_stable_set,
-    isolated_vertices,
     mask_of,
     pendant_vertices,
     set_of,
@@ -41,6 +40,7 @@ from .solvers import (
     DEFAULT_CAP_OMEGA,
     OMEGA_CAP,
     SOLVER_CAP,
+    _alpha,
     _alpha_mask,
     _check_cap,
     _least_maximum_stable_set,
@@ -96,7 +96,13 @@ class ClassificationReport:
 
 def is_square_stable(g: Graph, cap=None) -> bool:
     """True iff the stability number survives squaring the graph."""
-    return stability_number(g, cap) == stability_number(square(g), cap)
+    _check_cap(g.n, cap, DEFAULT_CAP_N, SOLVER_CAP)
+    return _square_stable(g)
+
+
+@_store
+def _square_stable(g: Graph) -> bool:
+    return _alpha(g) == _alpha(square(g))
 
 
 def square_stable_witness(g: Graph, cap=None):
@@ -111,7 +117,7 @@ def is_well_covered(g: Graph, cap=None) -> bool:
     """True iff there are no isolated vertices and every maximal stable set
     is maximum: the smallest maximal stable set, the independent domination
     number, has alpha vertices."""
-    if isolated_vertices(g):
+    if 0 in g.adj:
         return False
     return independent_domination_number(g, cap) == stability_number(g, cap)
 
@@ -123,9 +129,8 @@ def well_covered_counterexample(g: Graph, cap=None):
     ``("non_maximum_maximal", s)`` for the lexicographically smallest
     non-maximum maximal stable set, or ``None`` when well-covered.
     """
-    iso = isolated_vertices(g)
-    if iso:
-        return ("isolated_vertex", min(iso))
+    if 0 in g.adj:
+        return ("isolated_vertex", g.adj.index(0))
     alpha = stability_number(g, cap)
     if independent_domination_number(g, cap) == alpha:
         return None
@@ -223,15 +228,10 @@ def simplexes(g: Graph) -> list[Simplex]:
 
 
 def simplex_partition_check(g: Graph) -> bool:
-    """True iff every vertex lies in exactly one simplex."""
-    return _covers_each_vertex_once(g.n, simplexes(g))
-
-
-def _covers_each_vertex_once(n: int, simps: list[Simplex]) -> bool:
-    # the simplexes are pairwise disjoint and cover every vertex exactly when
-    # their sizes add up to n and to the size of their union
-    size = sum(len(s.clique) for s in simps)
-    return size == n == len(frozenset().union(*(s.clique for s in simps)))
+    """True iff every vertex lies in exactly one simplex: the simplexes cover
+    every vertex (the graph is simplicial) and their sizes add up to n."""
+    cliques = {g.adj[v] | 1 << v for v in bit_indices(_simplicial(g))}
+    return sum(c.bit_count() for c in cliques) == g.n and is_simplicial_graph(g)
 
 
 def is_simplicial_graph(g: Graph) -> bool:
@@ -321,7 +321,10 @@ def p1_unique_matchability(g: Graph, s) -> bool:
     criterion: every outside vertex has exactly one neighbour in ``s``, and
     the outside neighbours of each member of ``s`` are pairwise adjacent.
     """
-    smask = _vertex_mask(g.n, s)
+    return _p1(g, _vertex_mask(g.n, s))
+
+
+def _p1(g: Graph, smask: int) -> bool:
     outside = g.full_mask() & ~smask
     return all((g.adj[v] & smask).bit_count() == 1 for v in bit_indices(outside)) and all(
         _is_clique_mask(g.adj, g.adj[u] & outside) for u in bit_indices(smask))
@@ -337,7 +340,10 @@ def p2_exchangeability(g: Graph, s, cap=None) -> bool:
     neighbours in ``s``.  As k <= 1, these bounds add up to |N(A) & s| <=
     k |A| <= |A| - 1 + k, so the singletons decide every A.
     """
-    smask = _vertex_mask(g.n, s)
+    return _p2(g, _vertex_mask(g.n, s), cap)
+
+
+def _p2(g: Graph, smask: int, cap) -> bool:
     if _reach(g.adj, smask) & smask:
         raise ValueError("s must be a stable set")
     k = smask.bit_count() + 1 - stability_number(g, cap)
@@ -441,10 +447,9 @@ def classify(g: Graph, cap=None) -> ClassificationReport:
     ppm = pendant_perfect_matching(g)
     if ppm is not None:
         witnesses["pendant_perfect_matching"] = sorted(ppm)
-    simps = simplexes(g)
     witnesses["simplexes"] = [
         {"clique": sorted(s.clique), "simplicial": sorted(s.simplicial_members)}
-        for s in simps
+        for s in simplexes(g)
     ]
 
     report = ClassificationReport(
@@ -454,7 +459,7 @@ def classify(g: Graph, cap=None) -> ClassificationReport:
         koenig_egervary=ke,
         simplicial_graph=is_simplicial_graph(g),
         chordal=is_chordal(g),
-        simplex_partition=_covers_each_vertex_once(g.n, simps),
+        simplex_partition=simplex_partition_check(g),
         alpha_minus=aminus,
         alpha_plus_class=plus,
         omega_matroid=_simplicial(g) == g.full_mask(),
@@ -467,7 +472,7 @@ def classify(g: Graph, cap=None) -> ClassificationReport:
     # the failure of alpha_minus -- but only on graphs where every vertex has
     # a neighbour; isolated vertices (and the edgeless graphs they produce)
     # are exempt by definition of well-covered and by vacuity of alpha_minus.
-    if report.square_stable and g.n > 0 and not isolated_vertices(g):
+    if report.square_stable and g.n > 0 and 0 not in g.adj:
         if not report.well_covered:
             raise InternalCheckError("square-stable graph reported as not well-covered")
         if report.alpha_plus_class is not AlphaPlusClass.PLUS_0:

@@ -112,12 +112,13 @@ def _random_connected(n: int, rng: random.Random) -> Graph:
     if n <= 2:
         return tree
     p = rng.uniform(0.0, 0.5)
-    edges = set(tree.edges())
+    adj = list(tree.adj)
     for i in range(n):
         for j in range(i + 1, n):
-            if (i, j) not in edges and rng.random() < p:
-                edges.add((i, j))
-    return Graph.from_edges(n, edges)
+            if not adj[i] >> j & 1 and rng.random() < p:
+                adj[i] |= 1 << j
+                adj[j] |= 1 << i
+    return Graph(n, tuple(adj))
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,7 @@ from .errors import ParseError
 #: Sentinel distance between vertices in different components.
 INFINITE = math.inf
 
-# Decorates the private helpers that compute one value of one graph: each
+# Decorates the functions that compute one value of one graph: each
 # keeps its results for the last few graphs it was asked about, so that the
 # layers reading a graph's values compute each of them once.  Graphs are
 # immutable, so a stored value never goes stale; a call that raises stores
@@ -41,13 +41,32 @@ def set_of(mask: int) -> frozenset[int]:
     return frozenset(bit_indices(mask))
 
 
+# _BYTE_BITS[k][b]: the indices of the set bits of byte b at byte offset k of
+# a mask; a table is built when a mask first reaches its offset, not at import
+_BYTE_BITS: list[list[tuple[int, ...]]] = []
+
+
 def bit_indices(mask: int) -> list[int]:
-    """Indices of the set bits of ``mask``, ascending."""
+    """Indices of the set bits of ``mask``, ascending: below 2^64 a byte at a
+    time from ``_BYTE_BITS``, above it one bit at a time."""
     out = []
-    while mask:
-        b = mask & -mask
-        out.append(b.bit_length() - 1)
-        mask ^= b
+    if mask >> 64:
+        while mask:
+            b = mask & -mask
+            out.append(b.bit_length() - 1)
+            mask ^= b
+        return out
+    while mask >> 8 * len(_BYTE_BITS):
+        k = len(_BYTE_BITS)
+        table = [()]  # each bit i doubles it: table[b + 2^(i - 8k)] = table[b] + (i,)
+        for i in range(8 * k, 8 * k + 8):
+            table += [t + (i,) for t in table]
+        _BYTE_BITS[k:k + 1] = [table]  # lands at offset k even if another thread built it
+    for bits in _BYTE_BITS:
+        if not mask:
+            break
+        out += bits[mask & 255]
+        mask >>= 8
     return out
 
 
@@ -363,10 +382,9 @@ def components(g: Graph) -> list[frozenset[int]]:
     return out
 
 
+@_store
 def is_connected(g: Graph) -> bool:
-    if g.n <= 1:
-        return True
-    return _component_mask(g, 0) == g.full_mask()
+    return g.n <= 1 or _component_mask(g, 0) == g.full_mask()
 
 
 def complement(g: Graph) -> Graph:
@@ -472,10 +490,6 @@ def is_bipartite(g: Graph) -> bool:
             seen |= layer
         left &= ~seen
     return True
-
-
-def isolated_vertices(g: Graph) -> frozenset[int]:
-    return frozenset(v for v in range(g.n) if g.adj[v] == 0)
 
 
 def pendant_vertices(g: Graph) -> frozenset[int]:

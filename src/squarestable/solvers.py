@@ -33,13 +33,12 @@ the enumeration of maximum stable sets here and
 
 Each value is computed once per graph.  A cap-free private helper computes
 it and keeps it for the last few graphs asked about, in a bounded store
-(``graphs._store``, which also keeps ``square``, the maximum matching, and
-the core and simplicial vertices of ``classify``): the stability number,
-the lexicographically least maximum stable set, the family of maximum
-stable sets, the domination and independent domination numbers and the
-minimum clique cover.  Each public function checks its cap
-before it reads the store, so a refused call is refused again every time,
-and hands out a fresh copy of a stored list.
+(``graphs._store``, which also keeps ``square``, connectivity, the maximum
+matching and ``classify``'s square-stability, core and simplicial vertices):
+alpha, the least maximum stable set, gamma, idom, and the maximum stable
+sets and minimum clique cover as masks.  Each public function checks its
+cap before it reads the store, so a refused call is refused again every
+time, and builds the sets it hands out from the stored masks.
 """
 
 from __future__ import annotations
@@ -219,11 +218,12 @@ def _least_maximum_stable_set(g: Graph) -> frozenset[int]:
 def enumerate_maximum_stable_sets(g: Graph, cap=None) -> StableSetFamily:
     """Every maximum stable set, exactly once, in lexicographic order."""
     _check_cap(g.n, cap, DEFAULT_CAP_OMEGA, OMEGA_CAP)
-    return _omega(g)
+    sets = tuple(set_of(m) for m in _omega(g))  # never empty: alpha = 0 has the empty set
+    return StableSetFamily(sets, sets[0].intersection(*sets[1:]))
 
 
 @_store
-def _omega(g: Graph) -> StableSetFamily:
+def _omega(g: Graph) -> tuple[int, ...]:
     # MCQ branching as in _alpha_mask, with one clique partition per node;
     # a class is cut only when even size + class number falls short of alpha,
     # so every maximum stable set is reached exactly once
@@ -247,11 +247,7 @@ def _omega(g: Graph) -> StableSetFamily:
                 cand ^= b
 
     rec(g.full_mask(), 0, 0)
-    core = g.full_mask()
-    for m in found:
-        core &= m
-    sets = sorted(bit_indices(m) for m in found)
-    return StableSetFamily(tuple(frozenset(s) for s in sets), set_of(core))
+    return tuple(sorted(found, key=bit_indices))
 
 
 # ---------------------------------------------------------------------------
@@ -393,11 +389,11 @@ def clique_cover(g: Graph, cap=None) -> list[frozenset[int]]:
     is the clique number of the complement.
     """
     _check_cap(g.n, cap, DEFAULT_CAP_N, SOLVER_CAP)
-    return list(_cover(g))
+    return sorted((set_of(c) for c in _cover(g)), key=sorted)
 
 
 @_store
-def _cover(g: Graph) -> tuple[frozenset[int], ...]:
+def _cover(g: Graph) -> tuple[int, ...]:
     # a minimum colouring of the complement, whose clique number, alpha of
     # g, is read only when the greedy bounds do not already meet
     n, full = g.n, g.full_mask()
@@ -476,12 +472,13 @@ def _cover(g: Graph) -> tuple[frozenset[int], ...]:
 
     if best_k > lower:
         rec(full, ())
-    return tuple(sorted((set_of(c) for c in best), key=sorted))
+    return tuple(best)
 
 
 def clique_cover_number(g: Graph, cap=None) -> int:
     """Minimum number of cliques whose union covers the vertex set."""
-    return len(clique_cover(g, cap))
+    _check_cap(g.n, cap, DEFAULT_CAP_N, SOLVER_CAP)
+    return len(_cover(g))
 
 
 # ---------------------------------------------------------------------------

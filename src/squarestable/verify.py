@@ -9,11 +9,12 @@ girth-at-least-six characterisation, and the matroid dual-route agreement.
 The statements and the implication clauses are tables of predicates of a
 graph and its caps, and the suites are a registry that one loop runs.  The
 predicates share the values of a graph through the solvers' per-graph store,
-so each value is computed once however many of them read it.  A
-violation names its graph and clause.  Its witness is the disagreeing values
-or the failed internal check's message; implication clauses do not yet
-produce one, so their witness is empty.  All results are deterministic for a
-given corpus and configuration.
+so each value is computed once however many of them read it, and they read
+Omega(G) and Omega(G^2) as the stored vertex masks.  A violation names its
+graph and clause.  Its witness is the disagreeing values or the failed
+internal check's message; implication clauses do not yet produce one, so
+their witness is empty.  All results are deterministic for a given corpus
+and configuration.
 """
 
 from __future__ import annotations
@@ -23,6 +24,8 @@ from typing import Iterable, Optional
 
 from .classify import (
     AlphaPlusClass,
+    _p1,
+    _p2,
     alpha_minus_stable,
     alpha_plus_class,
     is_koenig_egervary,
@@ -31,8 +34,6 @@ from .classify import (
     is_very_well_covered,
     is_well_covered,
     omega_is_matroid,
-    p1_unique_matchability,
-    p2_exchangeability,
     pendants_contain_maximum_stable_set,
     simplex_partition_check,
 )
@@ -47,19 +48,20 @@ from .graphs import (
     is_chordal,
     is_complete,
     is_connected,
-    is_stable_set,
     is_tree,
-    isolated_vertices,
     mask_of,
     pendant_vertices,
     square,
 )
 from .matchings import _count_matchings_into, pendant_perfect_matching
 from .solvers import (
+    DEFAULT_CAP_OMEGA,
+    OMEGA_CAP,
     _alpha_mask,
+    _check_cap,
+    _omega as _omega_masks,
     clique_cover_number,
     domination_number,
-    enumerate_maximum_stable_sets,
     independent_domination_number,
     invariant_chain,
     stability_number,
@@ -74,32 +76,37 @@ def _attempt(predicate, g: Graph, cap, cap_omega):
         return None
 
 
-def _spread(g: Graph, s) -> bool:
-    """True iff the vertices of ``s`` are pairwise at distance at least 3:
-    their closed neighbourhoods are pairwise disjoint, so their sizes add up
-    to the size of their union."""
-    m = mask_of(s)
-    return (m | _reach(g.adj, m)).bit_count() == sum(g.adj[v].bit_count() + 1 for v in s)
+def _spread(g: Graph, m: int) -> bool:
+    """True iff the vertices of the mask ``m`` are pairwise at distance at
+    least 3: their closed neighbourhoods are pairwise disjoint."""
+    union = 0
+    for v in bit_indices(m):
+        if union & (closed := g.adj[v] | 1 << v):
+            return False
+        union |= closed
+    return True
 
 
-def _omega(g: Graph, cap_omega) -> tuple:
-    return enumerate_maximum_stable_sets(g, cap_omega).sets
+def _omega(g: Graph, cap_omega) -> tuple[int, ...]:
+    """Omega(G) as vertex masks, in lexicographic order."""
+    _check_cap(g.n, cap_omega, DEFAULT_CAP_OMEGA, OMEGA_CAP)
+    return _omega_masks(g)
 
 
-def _omega_sq(g: Graph, cap_omega) -> tuple:
-    return enumerate_maximum_stable_sets(square(g), cap_omega).sets
+def _omega_sq(g: Graph, cap_omega) -> tuple[int, ...]:
+    return _omega(square(g), cap_omega)
 
 
 def _isolated(g: Graph) -> bool:
-    return g.n == 0 or bool(isolated_vertices(g))
+    return g.n == 0 or 0 in g.adj
 
 
 def _all_differences(route, g: Graph, cap_omega) -> bool:
     """Whether ``route`` holds for the mask S1 ^ S2 of every S1 in Omega(G)
     and S2 in Omega(G^2).  S2 is stable in G too, so G[S1 ^ S2] is
     bipartite between S1 - S2 and S2 - S1."""
-    omega, omega_sq = _omega(g, cap_omega), [mask_of(s) for s in _omega_sq(g, cap_omega)]
-    return all(route(g, mask_of(s1) ^ d2) for s1 in omega for d2 in omega_sq)
+    omega_sq = _omega_sq(g, cap_omega)
+    return all(route(g, s1 ^ s2) for s1 in _omega(g, cap_omega) for s2 in omega_sq)
 
 
 def _unique_pm(g: Graph, d: int) -> bool:
@@ -138,10 +145,9 @@ _STATEMENTS = {
     "distance3_maximum_stable_set":
         lambda g, cap, cap_omega: any(_spread(g, s) for s in _omega(g, cap_omega)),
     "some_set_uniquely_matchable":
-        lambda g, cap, cap_omega: any(p1_unique_matchability(g, s) for s in _omega(g, cap_omega)),
+        lambda g, cap, cap_omega: any(_p1(g, s) for s in _omega(g, cap_omega)),
     "all_square_sets_uniquely_matchable":
-        lambda g, cap, cap_omega:
-        all(p1_unique_matchability(g, s) for s in _omega_sq(g, cap_omega)),
+        lambda g, cap, cap_omega: all(_p1(g, s) for s in _omega_sq(g, cap_omega)),
     "symmetric_differences_unique_pm":
         lambda g, cap, cap_omega: _all_differences(_unique_pm, g, cap_omega),
     "symmetric_differences_have_pm":
@@ -149,10 +155,9 @@ _STATEMENTS = {
     "symmetric_differences_induced_pm":
         lambda g, cap, cap_omega: _all_differences(_induced_pm, g, cap_omega),
     "some_set_exchangeable":
-        lambda g, cap, cap_omega: any(p2_exchangeability(g, s, cap) for s in _omega(g, cap_omega)),
+        lambda g, cap, cap_omega: any(_p2(g, s, cap) for s in _omega(g, cap_omega)),
     "all_square_sets_exchangeable":
-        lambda g, cap, cap_omega:
-        all(p2_exchangeability(g, s, cap) for s in _omega_sq(g, cap_omega)),
+        lambda g, cap, cap_omega: all(_p2(g, s, cap) for s in _omega_sq(g, cap_omega)),
 }
 
 STATEMENT_NAMES = tuple(_STATEMENTS)
@@ -205,8 +210,8 @@ def _distance3_attained(g: Graph, cap, cap_omega):
     # the members of a set lie pairwise at distance at least 3, so another
     # member next to the radius-2 ball around a lies at distance exactly 3
     rows = square(g).adj
-    return all(mask_of(s) & ~(1 << a) & _reach(g.adj, rows[a] | 1 << a)
-               for s in _omega_sq(g, cap_omega) for a in s)
+    return all(s & ~(1 << a) & _reach(g.adj, rows[a] | 1 << a)
+               for s in _omega_sq(g, cap_omega) for a in bit_indices(s))
 
 
 def _pendant_matching_forces_square_omega(g: Graph, cap, cap_omega) -> bool:
@@ -214,12 +219,10 @@ def _pendant_matching_forces_square_omega(g: Graph, cap, cap_omega) -> bool:
         return True
     if not is_square_stable(g, cap):
         return False
-    pend = pendant_vertices(g)
-    if not is_stable_set(g, pend):
-        # a matching edge with two pendant endpoints (a K2 component)
-        # leaves a per-edge choice, so the family cannot be a singleton
-        return True
-    return set(_omega_sq(g, cap_omega)) == {pend}
+    # a matching edge with two pendant endpoints (a K2 component) leaves a
+    # per-edge choice, so the family cannot be a singleton
+    pend = mask_of(pendant_vertices(g))
+    return bool(_reach(g.adj, pend) & pend) or _omega_sq(g, cap_omega) == (pend,)
 
 
 def _ke_pendant_characterisation(g: Graph, cap, cap_omega):
@@ -251,7 +254,7 @@ _CLAUSES = {
     "square_omega_distance3_attained": _distance3_attained,
     "omega_equality_iff_complete":
         lambda g, cap, cap_omega:
-        ((set(_omega_sq(g, cap_omega)) == set(_omega(g, cap_omega))) == is_complete(g))
+        ((_omega_sq(g, cap_omega) == _omega(g, cap_omega)) == is_complete(g))
         if is_connected(g) else None,
     "square_stable_not_alpha_minus":
         lambda g, cap, cap_omega: None if _isolated(g)

@@ -26,9 +26,15 @@ from functools import lru_cache
 from itertools import combinations, permutations
 import random
 
-from squarestable.graphs import Graph, INFINITE, bit_indices, mask_of, stable_subsets
+from squarestable.graphs import Graph, INFINITE, stable_subsets
 from squarestable.matchings import _count_matchings_into, is_induced_matching
 from squarestable.solvers import enumerate_maximum_stable_sets, stability_number
+
+
+def oracle_bits(m: int) -> list[int]:
+    """The indices of the set bits of ``m``, ascending, by the definition:
+    no unpacking code is shared with the package's bit kernel."""
+    return [v for v in range(m.bit_length()) if m >> v & 1]
 
 
 def _is_stable_mask(g: Graph, m: int) -> bool:
@@ -61,7 +67,7 @@ def oracle_alpha(g: Graph) -> int:
 def oracle_omega(g: Graph) -> list[frozenset]:
     alpha = oracle_alpha(g)
     out = [
-        frozenset(bit_indices(m))
+        frozenset(oracle_bits(m))
         for m in range(1 << g.n)
         if m.bit_count() == alpha and _is_stable_mask(g, m)
     ]
@@ -75,12 +81,12 @@ def oracle_maximal_stable_sets(g: Graph) -> list[frozenset]:
         if not _is_stable_mask(g, m):
             continue
         addable = False
-        for v in bit_indices(full & ~m):
+        for v in oracle_bits(full & ~m):
             if not g.adj[v] & m:
                 addable = True
                 break
         if not addable:
-            out.append(frozenset(bit_indices(m)))
+            out.append(frozenset(oracle_bits(m)))
     return sorted(out, key=sorted)
 
 
@@ -121,7 +127,7 @@ def maximal_stable_sets(g: Graph) -> list[frozenset]:
     complement, by ``bron_kerbosch``.  Fast enough for 30 vertices."""
     full = g.full_mask()
     co_adj = [full & ~m & ~(1 << v) for v, m in enumerate(g.adj)]
-    return sorted((frozenset(bit_indices(m)) for m in bron_kerbosch(co_adj, full)), key=sorted)
+    return sorted((frozenset(oracle_bits(m)) for m in bron_kerbosch(co_adj, full)), key=sorted)
 
 
 def oracle_idom(g: Graph) -> int:
@@ -138,7 +144,7 @@ def oracle_gamma(g: Graph) -> int:
         if m.bit_count() >= best:
             continue
         cover = 0
-        for v in bit_indices(m):
+        for v in oracle_bits(m):
             cover |= closed[v]
         if cover == full:
             best = m.bit_count()
@@ -182,7 +188,7 @@ def oracle_mu(g: Graph) -> int:
         v = b.bit_length() - 1
         rest = mask ^ b
         best = dp(rest)
-        for u in bit_indices(g.adj[v] & rest):
+        for u in oracle_bits(g.adj[v] & rest):
             best = max(best, 1 + dp(rest & ~(1 << u)))
         return best
 
@@ -193,7 +199,7 @@ def oracle_mu(g: Graph) -> int:
 
 def _induces_cycle(g: Graph, m: int) -> bool:
     # all inner degrees exactly two, and the subset is connected
-    vs = bit_indices(m)
+    vs = oracle_bits(m)
     if len(vs) < 3:
         return False
     for v in vs:
@@ -203,7 +209,7 @@ def _induces_cycle(g: Graph, m: int) -> bool:
     frontier = seen
     while frontier:
         nxt = 0
-        for v in bit_indices(frontier):
+        for v in oracle_bits(frontier):
             nxt |= g.adj[v] & m
         frontier = nxt & ~seen
         seen |= nxt
@@ -278,7 +284,7 @@ def oracle_count_perfect_matchings(g: Graph) -> int:
         b = mask & -mask
         v = b.bit_length() - 1
         total = 0
-        for u in bit_indices(g.adj[v] & mask):
+        for u in oracle_bits(g.adj[v] & mask):
             total += rec(mask & ~b & ~(1 << u))
         return total
 
@@ -306,7 +312,7 @@ def enumerate_perfect_matchings(g: Graph):
             return
         b = uncovered & -uncovered
         v = b.bit_length() - 1
-        for u in bit_indices(g.adj[v] & uncovered):
+        for u in oracle_bits(g.adj[v] & uncovered):
             acc.append((v, u))
             yield from rec(uncovered & ~b & ~(1 << u), acc)
             acc.pop()
@@ -460,7 +466,7 @@ def alpha_minus_by_omega_neighbourhoods(g: Graph) -> bool:
     """True iff every vertex outside a maximum stable set has at least two
     neighbours in it, for every maximum stable set."""
     for s in enumerate_maximum_stable_sets(g).sets:
-        smask = mask_of(s)
+        smask = sum(1 << v for v in s)
         if any((g.adj[v] & smask).bit_count() < 2 for v in range(g.n) if not smask >> v & 1):
             return False
     return True
@@ -469,7 +475,7 @@ def alpha_minus_by_omega_neighbourhoods(g: Graph) -> bool:
 def p1_by_stable_subsets(g: Graph, s) -> bool:
     """True iff every non-empty stable set disjoint from ``s`` has exactly
     one matching into ``s``, by scanning those stable sets."""
-    smask = mask_of(s)
+    smask = sum(1 << v for v in s)
     return all(
         _count_matchings_into(g, amask, smask, 2)[0] == 1
         for amask in stable_subsets(g, g.full_mask() & ~smask) if amask
@@ -499,9 +505,9 @@ def simplexes_by_maximal_cliques(g: Graph) -> list[tuple[frozenset, frozenset]]:
     ``bron_kerbosch``, and a vertex is simplicial when its neighbourhood is a
     clique."""
     cliques = bron_kerbosch(g.adj, g.full_mask())
-    simplicial = mask_of(v for v in range(g.n) if _is_clique_mask(g, g.adj[v]))
+    simplicial = sum(1 << v for v in range(g.n) if _is_clique_mask(g, g.adj[v]))
     out = [
-        (frozenset(bit_indices(c)), frozenset(bit_indices(c & simplicial)))
+        (frozenset(oracle_bits(c)), frozenset(oracle_bits(c & simplicial)))
         for c in cliques if c & simplicial
     ]
     return sorted(out, key=lambda pair: sorted(pair[0]))

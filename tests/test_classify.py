@@ -46,7 +46,6 @@ from squarestable.graphs import (
     Graph,
     bit_indices,
     distance_matrix,
-    isolated_vertices,
     pendant_vertices,
     square,
     stable_subsets,
@@ -97,6 +96,14 @@ def test_square_stable_examples():
     assert is_square_stable(corona_with_k1(cycle_graph(5)))
 
 
+def test_square_stability_is_refused_above_the_cap_once_stored():
+    g = corona_with_k1(cycle_graph(6))
+    assert is_square_stable(g) is True
+    with pytest.raises(CapExceededError, match=r"exact solver cap exceeded \(12 > 11\)"):
+        is_square_stable(g, cap=11)
+    assert is_square_stable(g, cap=12) is True
+
+
 def test_square_stable_witness_has_pairwise_distance_3():
     g = corona_with_k1(cycle_graph(5))
     w = square_stable_witness(g)
@@ -129,7 +136,7 @@ def test_well_covered_isolated_vertex_reported_distinctly():
 def _counterexample_by_enumeration(g):
     # the route the search replaced: the first maximal stable set, in sorted
     # order, that is smaller than the largest
-    iso = isolated_vertices(g)
+    iso = [v for v in range(g.n) if not g.adj[v]]
     if iso:
         return ("isolated_vertex", min(iso))
     sets = maximal_stable_sets(g)
@@ -219,8 +226,11 @@ def test_simplexes_examples():
 def test_simplexes_match_maximal_cliques():
     corpus = list(enumerate_corpus(7, connected_only=False)) + list(sample_corpus(300, 14, 7, False))
     for g in corpus:
-        found = [(s.clique, s.simplicial_members) for s in simplexes(g)]
-        assert found == simplexes_by_maximal_cliques(g), g
+        expected = simplexes_by_maximal_cliques(g)
+        assert [(s.clique, s.simplicial_members) for s in simplexes(g)] == expected, g
+        # a partition: every vertex in exactly one simplex
+        members = sorted(v for clique, _ in expected for v in clique)
+        assert simplex_partition_check(g) == (members == list(range(g.n))), g
 
 
 def test_simplex_partition_examples():

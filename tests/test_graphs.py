@@ -1,9 +1,11 @@
+import random
 import time
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import squarestable.graphs as graphs_module
 from squarestable.classify import p1_unique_matchability, p2_exchangeability
 from squarestable.errors import ParseError
 from squarestable.generate import (
@@ -16,6 +18,7 @@ from squarestable.generate import (
 from squarestable.graphs import (
     INFINITE,
     Graph,
+    bit_indices,
     complement,
     components,
     distance_matrix,
@@ -28,14 +31,17 @@ from squarestable.graphs import (
     is_connected,
     is_stable_set,
     is_tree,
+    mask_of,
     parse_edge_list,
     parse_graph6,
     perfect_elimination_ordering,
+    set_of,
     square,
     to_graph6,
 )
 from squarestable.matchings import is_valid_matching, match_into
 from oracles import (
+    oracle_bits,
     oracle_distances,
     oracle_girth,
     oracle_graph_fault,
@@ -358,6 +364,22 @@ def test_is_tree_examples():
     assert not is_tree(cycle_graph(4))
     assert is_tree(complete_graph(1))
     assert not is_tree(Graph.from_edges(2, []))
+
+
+def test_bit_kernel_matches_its_definition(monkeypatch):
+    # from empty byte tables, so that each is built as a mask first reaches
+    # its offset; masks of 65 bits and more take the bit-at-a-time loop
+    monkeypatch.setattr(graphs_module, "_BYTE_BITS", [])
+    rng = random.Random(24)
+    masks = [0] + [1 << v for v in range(130)]
+    masks += [rng.getrandbits(k) | 1 << (k - 1) for k in range(1, 131) for _ in range(20)]
+    rng.shuffle(masks)
+    for m in masks:
+        indices = oracle_bits(m)
+        assert bit_indices(m) == indices, m
+        assert set_of(m) == frozenset(indices), m
+        assert mask_of(indices) == m, m
+    assert len(graphs_module._BYTE_BITS) == 8
 
 
 def test_is_connected_and_bipartite():

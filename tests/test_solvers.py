@@ -238,6 +238,7 @@ def test_omega_core_of_star():
 def test_omega_matches_oracle_and_is_sorted(g):
     fam = enumerate_maximum_stable_sets(g)
     assert list(fam.sets) == oracle_omega(g)
+    assert fam.core == frozenset.intersection(*oracle_omega(g))
     assert [sorted(s) for s in fam.sets] == sorted([sorted(s) for s in fam.sets])
 
 
