@@ -22,14 +22,12 @@ from .errors import CapExceededError, InternalCheckError
 from .graphs import (
     Graph,
     _is_clique_mask,
+    _pendants,
     _reach,
     _store,
     _vertex_mask,
     bit_indices,
     is_chordal,
-    is_stable_set,
-    mask_of,
-    pendant_vertices,
     set_of,
     square,
     stable_subsets,
@@ -40,10 +38,10 @@ from .solvers import (
     DEFAULT_CAP_OMEGA,
     OMEGA_CAP,
     SOLVER_CAP,
-    _alpha,
     _alpha_mask,
     _check_cap,
     _least_maximum_stable_set,
+    _maximum,
     independent_domination_number,
     maximum_stable_set,
     stability_number,
@@ -102,7 +100,7 @@ def is_square_stable(g: Graph, cap=None) -> bool:
 
 @_store
 def _square_stable(g: Graph) -> bool:
-    return _alpha(g) == _alpha(square(g))
+    return _maximum(g).bit_count() == _maximum(square(g)).bit_count()
 
 
 def square_stable_witness(g: Graph, cap=None):
@@ -194,7 +192,7 @@ def pendants_contain_maximum_stable_set(g: Graph, cap=None) -> bool:
     picked.
     """
     alpha = stability_number(g, cap)
-    return _alpha_mask(g.adj, mask_of(pendant_vertices(g)), alpha - 1, alpha)[1] is not None
+    return _alpha_mask(g.adj, _pendants(g), alpha - 1, alpha) is not None
 
 
 # ---------------------------------------------------------------------------
@@ -210,7 +208,7 @@ def simplicial_vertices(g: Graph) -> frozenset[int]:
 
 @_store
 def _simplicial(g: Graph) -> int:
-    return mask_of(v for v, m in enumerate(g.adj) if _is_clique_mask(g.adj, m))
+    return sum(1 << v for v, m in enumerate(g.adj) if _is_clique_mask(g.adj, m))
 
 
 def simplexes(g: Graph) -> list[Simplex]:
@@ -256,7 +254,8 @@ def alpha_minus_stable(g: Graph, cap=None) -> bool:
     N[K].  Only those edges are searched, each for alpha - 1 - |K| vertices
     of G - N[K] - N[u] - N[v].
     """
-    s = mask_of(maximum_stable_set(g, cap))
+    _check_cap(g.n, cap, DEFAULT_CAP_N, SOLVER_CAP)
+    s = _least_maximum_stable_set(g)
     adj, full = g.adj, g.full_mask()
     if any((adj[v] & s).bit_count() == 1 for v in bit_indices(full & ~s)):
         return False
@@ -264,35 +263,27 @@ def alpha_minus_stable(g: Graph, cap=None) -> bool:
     room = full & ~core & ~_reach(adj, core)
     need = s.bit_count() - 1 - core.bit_count()
     return all(
-        _alpha_mask(adj, room & ~(adj[u] | adj[v]), need - 1, need)[1] is None
+        _alpha_mask(adj, room & ~(adj[u] | adj[v]), need - 1, need) is None
         for u in bit_indices(room) for v in bit_indices(adj[u] & room) if u < v
     )
 
 
-def _omega_core(g: Graph, cap=None) -> frozenset[int]:
-    """The vertices that lie in every maximum stable set.
-
-    They all lie in any one maximum stable set S, tried vertex by vertex.
-    Every maximum stable set contains the vertices F already proven in the
-    core, so one that misses the candidate v is F + T, for a stable set T of
-    alpha - |F| vertices in G - N[F] - v.  If there is one, v is out of the
-    core, and only the candidates in T stay.
-    """
-    _check_cap(g.n, cap, DEFAULT_CAP_N, SOLVER_CAP)
-    return set_of(_core(g))
-
-
 @_store
 def _core(g: Graph) -> int:
-    # room is V - N[F] for the proven members F, need is alpha - |F|, and F
-    # is the part of the core outside room
+    # The vertices that lie in every maximum stable set.  They all lie in any
+    # one maximum stable set S, tried vertex by vertex.  Every maximum stable
+    # set contains the vertices F already proven in the core, so one that
+    # misses the candidate v is F + T, for a stable set T of alpha - |F|
+    # vertices in G - N[F] - v.  If there is one, v is out of the core, and
+    # only the candidates in T stay.  room is V - N[F], need is alpha - |F|,
+    # and F is the part of the core outside room.
     adj = g.adj
-    core = left = mask_of(_least_maximum_stable_set(g))
+    core = left = _least_maximum_stable_set(g)
     room, need = g.full_mask(), core.bit_count()
     while left:
         b = left & -left
         left ^= b
-        other = _alpha_mask(adj, room & ~b, need - 1, need)[1]
+        other = _alpha_mask(adj, room & ~b, need - 1, need)
         if other is None:
             room &= ~adj[b.bit_length() - 1] & ~b
             need -= 1
@@ -305,7 +296,8 @@ def _core(g: Graph) -> int:
 def alpha_plus_class(g: Graph, cap=None) -> AlphaPlusClass:
     """Classify by the intersection of all maximum stable sets: empty,
     a single vertex, or larger (alpha then drops under some edge addition)."""
-    return _CLASS_BY_CORE_SIZE[min(len(_omega_core(g, cap)), 2)]
+    _check_cap(g.n, cap, DEFAULT_CAP_N, SOLVER_CAP)
+    return _CLASS_BY_CORE_SIZE[min(_core(g).bit_count(), 2)]
 
 
 # ---------------------------------------------------------------------------
@@ -351,11 +343,11 @@ def _p2(g: Graph, smask: int, cap) -> bool:
                for v in bit_indices(g.full_mask() & ~smask))
 
 
-def _require_maximum_stable(g: Graph, s0, cap=None) -> frozenset[int]:
-    s = frozenset(s0)
-    if not is_stable_set(g, s):
+def _maximum_stable_mask(g: Graph, s0, cap) -> int:
+    s = _vertex_mask(g.n, s0)
+    if _reach(g.adj, s) & s:
         raise ValueError("s0 must be a stable set")
-    if len(s) != stability_number(g, cap):
+    if s.bit_count() != stability_number(g, cap):
         raise ValueError("s0 must be a maximum stable set")
     return s
 
@@ -363,15 +355,13 @@ def _require_maximum_stable(g: Graph, s0, cap=None) -> frozenset[int]:
 def property_p1(g: Graph, s0, cap=None) -> bool:
     """Unique matchability of every disjoint stable set into the maximum
     stable set ``s0``.  Raises ``ValueError`` unless ``s0`` is maximum."""
-    s = _require_maximum_stable(g, s0, cap)
-    return p1_unique_matchability(g, s)
+    return _p1(g, _maximum_stable_mask(g, s0, cap))
 
 
 def property_p2(g: Graph, s0, cap=None) -> bool:
     """Exchange property of the maximum stable set ``s0``: every disjoint
     stable set extends by part of ``s0`` to a maximum stable set."""
-    s = _require_maximum_stable(g, s0, cap)
-    return p2_exchangeability(g, s, cap)
+    return _p2(g, _maximum_stable_mask(g, s0, cap), cap)
 
 
 # ---------------------------------------------------------------------------
@@ -402,7 +392,7 @@ def omega_is_matroid(g: Graph, cap_omega=None) -> bool:
         if seen > _MATROID_SET_BUDGET:
             raise CapExceededError("matroid stable-set budget", _MATROID_SET_BUDGET, seen)
         closed = imask | _reach(g.adj, imask)
-        if _alpha_mask(g.adj, closed, imask.bit_count(), imask.bit_count() + 1)[1] is not None:
+        if _alpha_mask(g.adj, closed, imask.bit_count(), imask.bit_count() + 1) is not None:
             exchange = False
             break
 
@@ -433,11 +423,12 @@ def classify(g: Graph, cap=None) -> ClassificationReport:
     aminus = alpha_minus_stable(g, cap)
 
     witnesses: dict = {
-        "maximum_stable_set": sorted(maximum_stable_set(g, cap)),
-        "omega_core": sorted(_omega_core(g, cap)),
+        "maximum_stable_set": bit_indices(_least_maximum_stable_set(g)),
+        "omega_core": bit_indices(_core(g)),
     }
     if ss:
-        witnesses["square_stable_distance3_set"] = sorted(square_stable_witness(g, cap))
+        witnesses["square_stable_distance3_set"] = bit_indices(
+            _least_maximum_stable_set(square(g)))
     if not wc:
         kind, evidence = well_covered_counterexample(g, cap)
         witnesses["well_covered_failure"] = (

@@ -103,6 +103,13 @@ def _emit(doc: dict) -> None:
     print(json.dumps(doc, sort_keys=True, indent=2))
 
 
+def _check_text(args, dropped: tuple[str, ...]) -> None:
+    """Refuse a flag whose output ``--text`` would not print, naming it."""
+    for dest in dropped:
+        if args.text and getattr(args, dest):
+            raise ParseError(f"--text prints the summary only; drop --{dest}")
+
+
 # ---------------------------------------------------------------------------
 # analyze
 # ---------------------------------------------------------------------------
@@ -149,6 +156,7 @@ def _analyze_text(doc: dict) -> str:
 
 
 def cmd_analyze(args) -> int:
+    _check_text(args, ("square", "omega"))
     text = _read_input(args.input)
     if not any(line.split("#", 1)[0].strip() for line in text.splitlines()):
         print("error: empty input", file=sys.stderr)
@@ -308,6 +316,7 @@ def _verify_table(report) -> str:
 
 
 def cmd_verify(args) -> int:
+    _check_text(args, ("details",))
     suites = SUITE_NAMES if args.suite in (None, "all") else tuple(
         s.strip() for s in args.suite.split(",") if s.strip()
     )

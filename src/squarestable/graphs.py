@@ -317,13 +317,9 @@ def _rows(columns: list[int]) -> tuple[int, ...]:
 # ---------------------------------------------------------------------------
 
 
+@_store
 def square(g: Graph) -> Graph:
     """The square of ``g``: same vertices, an edge wherever distance is 1 or 2."""
-    return _square(g)
-
-
-@_store
-def _square(g: Graph) -> Graph:
     adj = g.adj
     return Graph(g.n, tuple((m | _reach(adj, m)) & ~(1 << v) for v, m in enumerate(adj)))
 
@@ -494,7 +490,11 @@ def is_bipartite(g: Graph) -> bool:
 
 def pendant_vertices(g: Graph) -> frozenset[int]:
     """Vertices of degree exactly one."""
-    return frozenset(v for v in range(g.n) if g.adj[v].bit_count() == 1)
+    return set_of(_pendants(g))
+
+
+def _pendants(g: Graph) -> int:
+    return sum(1 << v for v, m in enumerate(g.adj) if m.bit_count() == 1)
 
 
 def _vertex_mask(n: int, vertices: Iterable[int]) -> int:

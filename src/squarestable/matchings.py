@@ -14,7 +14,7 @@ import enum
 from collections import deque
 from typing import Iterable, Optional
 
-from .graphs import Graph, _store, _vertex_mask, bit_indices, mask_of, pendant_vertices
+from .graphs import Graph, _pendants, _reach, _store, _vertex_mask, bit_indices
 
 #: A matching is a frozenset of (u, v) edges with u < v, pairwise non-incident.
 Matching = frozenset
@@ -29,13 +29,9 @@ def _normalize(u: int, v: int) -> tuple[int, int]:
 # ---------------------------------------------------------------------------
 
 
+@_store
 def maximum_matching(g: Graph) -> Matching:
     """A maximum matching of ``g``, computed once per graph."""
-    return _maximum_matching(g)
-
-
-@_store
-def _maximum_matching(g: Graph) -> Matching:
     n = g.n
     adj = [bit_indices(m) for m in g.adj]
     match = [-1] * n
@@ -188,8 +184,9 @@ def pendant_perfect_matching(g: Graph) -> Optional[Matching]:
     is unique when it exists.  The forced edges form a perfect matching
     exactly when there are n/2 of them and they cover every vertex.
     """
-    edges = frozenset(_normalize(v, g.adj[v].bit_length() - 1) for v in pendant_vertices(g))
-    if 2 * len(edges) != g.n or mask_of(v for e in edges for v in e) != g.full_mask():
+    pend = _pendants(g)
+    edges = frozenset(_normalize(v, g.adj[v].bit_length() - 1) for v in bit_indices(pend))
+    if 2 * len(edges) != g.n or pend | _reach(g.adj, pend) != g.full_mask():
         return None
     return edges
 

@@ -35,10 +35,11 @@ Each value is computed once per graph.  A cap-free private helper computes
 it and keeps it for the last few graphs asked about, in a bounded store
 (``graphs._store``, which also keeps ``square``, connectivity, the maximum
 matching and ``classify``'s square-stability, core and simplicial vertices):
-alpha, the least maximum stable set, gamma, idom, and the maximum stable
-sets and minimum clique cover as masks.  Each public function checks its
-cap before it reads the store, so a refused call is refused again every
-time, and builds the sets it hands out from the stored masks.
+the maximum stable set the alpha search found, whose size is alpha, the
+least maximum stable set, gamma, idom, the maximum stable sets and the
+minimum clique cover, every set as a vertex mask.  Each public function
+checks its cap before it reads the store, so a refused call is refused
+again every time, and builds the sets it hands out from the stored masks.
 """
 
 from __future__ import annotations
@@ -120,11 +121,10 @@ class _Reached(Exception):
 
 
 def _alpha_mask(adj: tuple[int, ...], mask: int, floor: int, stop: int):
-    # Returns (size, witness): size is max(floor, alpha(mask)) capped at
-    # stop >= 0, and witness is a stable set of that size as a mask, or None
-    # when none beats the floor.
+    # A stable set of min(alpha(mask), stop) vertices as a mask, for a stop
+    # >= 0, or None when alpha(mask) <= floor.
     if mask.bit_count() <= floor:
-        return floor, None
+        return None
     # A vertex with at most one neighbour left can replace that neighbour in
     # a maximum stable set: alpha = 1 + alpha(G - N[v]).  Folding it lowers
     # only the degrees of its neighbour's neighbours, so those are looked at
@@ -165,7 +165,7 @@ def _alpha_mask(adj: tuple[int, ...], mask: int, floor: int, stop: int):
         rec(mask, 0, 0)
     except _Reached:
         pass
-    return (floor, None) if witness is None else (base + best, folded | witness)
+    return None if witness is None else folded | witness
 
 
 def stability_number(g: Graph, cap=None) -> int:
@@ -173,36 +173,39 @@ def stability_number(g: Graph, cap=None) -> int:
     by MCQ, which splits the candidates into cliques of ``g``, branches in
     decreasing class number and cuts a node once size + class number <= best."""
     _check_cap(g.n, cap, DEFAULT_CAP_N, SOLVER_CAP)
-    return _alpha(g)
+    return _maximum(g).bit_count()
 
 
 @_store
-def _alpha(g: Graph) -> int:
-    return _alpha_mask(g.adj, g.full_mask(), 0, g.n)[0]
+def _maximum(g: Graph) -> int:
+    # the maximum stable set the alpha search finds; alpha is its size
+    return _alpha_mask(g.adj, g.full_mask(), -1, g.n)
 
 
 def maximum_stable_set(g: Graph, cap=None) -> frozenset[int]:
     """One maximum stable set: the lexicographically smallest as a sorted
     vertex list."""
     _check_cap(g.n, cap, DEFAULT_CAP_N, SOLVER_CAP)
-    return _least_maximum_stable_set(g)
+    return set_of(_least_maximum_stable_set(g))
 
 
 @_store
-def _least_maximum_stable_set(g: Graph) -> frozenset[int]:
+def _least_maximum_stable_set(g: Graph) -> int:
     # Keep each vertex in turn that lies in some maximum stable set of the
     # candidates left: in the last witness found, or in the one a decision
-    # search finds.  A witness stays maximum while its vertices are kept.
+    # search finds.  A witness stays maximum while its vertices are kept, so
+    # the walk starts from the set the alpha search found.
     adj = g.adj
-    remaining = _alpha(g)
-    chosen = witness = 0
+    witness = _maximum(g)
+    remaining = witness.bit_count()
+    chosen = 0
     cand = g.full_mask()
     v = 0
     while remaining:
         bit = 1 << v
         rest = cand & ~adj[v] & ~bit
         if cand & bit and not witness & bit:
-            found = _alpha_mask(adj, rest, remaining - 2, remaining - 1)[1]
+            found = _alpha_mask(adj, rest, remaining - 2, remaining - 1)
             if found is not None:
                 witness = found | bit
         if cand & witness & bit:
@@ -212,7 +215,7 @@ def _least_maximum_stable_set(g: Graph) -> frozenset[int]:
         else:
             cand &= ~bit
         v += 1
-    return set_of(chosen)
+    return chosen
 
 
 def enumerate_maximum_stable_sets(g: Graph, cap=None) -> StableSetFamily:
@@ -228,7 +231,7 @@ def _omega(g: Graph) -> tuple[int, ...]:
     # a class is cut only when even size + class number falls short of alpha,
     # so every maximum stable set is reached exactly once
     adj = g.adj
-    alpha = _alpha(g)
+    alpha = _maximum(g).bit_count()
     found: list[int] = []
 
     def rec(cand: int, size: int, chosen: int) -> None:
@@ -419,7 +422,7 @@ def _cover(g: Graph) -> tuple[int, ...]:
             best.append(1 << v)
     best_k = len(best)
     if best_k > lower:
-        lower = _alpha(g)
+        lower = _maximum(g).bit_count()
 
     classes: list[int] = []
     reach: list[int] = []  # reach[i]: the vertices adjacent to classes[i]

@@ -40,6 +40,7 @@ from .classify import (
 from .errors import CapExceededError, InternalCheckError
 from .graphs import (
     Graph,
+    _pendants,
     _reach,
     bit_indices,
     components,
@@ -49,8 +50,6 @@ from .graphs import (
     is_complete,
     is_connected,
     is_tree,
-    mask_of,
-    pendant_vertices,
     square,
 )
 from .matchings import _count_matchings_into, pendant_perfect_matching
@@ -116,7 +115,7 @@ def _unique_pm(g: Graph, d: int) -> bool:
 def _has_pm(g: Graph, d: int) -> bool:
     # by Koenig, a bipartite G[d] has |d| - alpha(G[d]) matching edges
     half = d.bit_count() // 2
-    return _alpha_mask(g.adj, d, half, half + 1)[1] is None
+    return _alpha_mask(g.adj, d, half, half + 1) is None
 
 
 def _induced_pm(g: Graph, d: int) -> bool:
@@ -221,7 +220,7 @@ def _pendant_matching_forces_square_omega(g: Graph, cap, cap_omega) -> bool:
         return False
     # a matching edge with two pendant endpoints (a K2 component) leaves a
     # per-edge choice, so the family cannot be a singleton
-    pend = mask_of(pendant_vertices(g))
+    pend = _pendants(g)
     return bool(_reach(g.adj, pend) & pend) or _omega_sq(g, cap_omega) == (pend,)
 
 

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from squarestable.classify import (
     AlphaPlusClass,
     _CLASS_BY_CORE_SIZE,
-    _omega_core,
+    _core,
     alpha_minus_stable,
     alpha_plus_class,
     classify,
@@ -47,6 +47,7 @@ from squarestable.graphs import (
     bit_indices,
     distance_matrix,
     pendant_vertices,
+    set_of,
     square,
     stable_subsets,
 )
@@ -293,7 +294,7 @@ def test_one_route_predicates_match_their_definitions():
     corpus = list(enumerate_corpus(7, connected_only=False)) + list(sample_corpus(300, 12, 5))
     for g in corpus:
         core = omega_core_by_intersection(g)
-        assert _omega_core(g) == core, g
+        assert set_of(_core(g)) == core, g
         plus = alpha_plus_class(g)
         assert plus is by_core_size.get(len(core), AlphaPlusClass.NOT_PLUS), g
         assert (plus is not AlphaPlusClass.NOT_PLUS) == alpha_plus_by_edge_addition(g), g
@@ -313,7 +314,7 @@ def test_decision_searches_match_their_definitions(g):
     # vertices to fold: the core, edge deletion, idom, the least maximum
     # stable set and the pendant test.
     for h in (g, square(g)):
-        assert _omega_core(h) == omega_core_by_intersection(h), h
+        assert set_of(_core(h)) == omega_core_by_intersection(h), h
         assert alpha_minus_stable(h) == alpha_minus_by_edge_deletion(h), h
         assert independent_domination_number(h) == oracle_idom(h), h
         assert sorted(maximum_stable_set(h)) == min(sorted(s) for s in oracle_omega(h)), h
@@ -331,7 +332,7 @@ def _spider(legs: int) -> Graph:
 
 def _assert_edge_edit_classes_match_the_oracles(g: Graph) -> frozenset:
     core = omega_core_by_intersection(g)
-    assert _omega_core(g) == core, g
+    assert classify(g).witnesses["omega_core"] == sorted(core), g
     assert alpha_plus_class(g) is _CLASS_BY_CORE_SIZE[min(len(core), 2)], g
     aminus = alpha_minus_stable(g)
     assert aminus == alpha_minus_by_edge_deletion(g), g
@@ -369,7 +370,7 @@ def test_edge_deletion_when_the_core_is_one_short_of_alpha():
     assert paw.edges() == [(0, 1), (1, 2), (1, 3), (2, 3)]
     assert _assert_edge_edit_classes_match_the_oracles(paw) == {0}
     assert not alpha_minus_stable(paw)
-    assert _alpha_mask(paw.adj, 0b1100 & ~(paw.adj[2] | paw.adj[3]), -1, 0) == (0, 0)
+    assert _alpha_mask(paw.adj, 0b1100 & ~(paw.adj[2] | paw.adj[3]), -1, 0) == 0
 
 
 def test_critical_edge_outside_the_cores_neighbourhood():
@@ -388,9 +389,9 @@ def test_critical_edge_outside_the_cores_neighbourhood():
 
 def test_capped_edge_edit_classes_are_refused_after_the_core_is_stored():
     g = random_connected_graph(20, 3)
-    assert _omega_core(g) == omega_core_by_intersection(g)
+    assert set_of(_core(g)) == omega_core_by_intersection(g)
     for _ in range(2):
-        for f in (_omega_core, alpha_plus_class, alpha_minus_stable):
+        for f in (classify, alpha_plus_class, alpha_minus_stable):
             with pytest.raises(CapExceededError):
                 f(g, 19)
 
@@ -414,7 +415,7 @@ def test_core_and_edge_deletion_search_fewer_vertices(monkeypatch):
     for n in (12, 18, 24):
         for s in range(10):
             g = random_connected_graph(n, s)
-            _omega_core(g)
+            _core(g)
             alpha_minus_stable(g)
     assert searched <= 1942, searched
 

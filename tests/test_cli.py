@@ -92,7 +92,7 @@ def test_analyze_refuses_before_any_search(capsys, tmp_path):
     g = corona_with_k1(random_connected_graph(24, 2))
     path = tmp_path / "corona.g6"
     path.write_text(to_graph6(g) + "\n")
-    helpers = (graphs._square, solvers._alpha, solvers._least_maximum_stable_set, solvers._omega,
+    helpers = (graphs.square, solvers._maximum, solvers._least_maximum_stable_set, solvers._omega,
                solvers._gamma, solvers._idom, solvers._cover)
     misses = [h.cache_info().misses for h in helpers]
     code, out, err = run_cli(capsys, "analyze", "--cap-n", "47", str(path))
@@ -700,3 +700,40 @@ def test_plain_and_text_analyze_reports_are_pinned(capsys, tmp_path):
         code, out, err = run_cli(capsys, "analyze", *flags, str(path))
         assert code == 0, err
         assert hashlib.sha256(out.encode()).hexdigest() == digest, flags
+
+
+def test_text_refuses_the_flags_whose_output_it_drops(capsys, tmp_path):
+    import hashlib
+
+    # --text prints the summary only, so a flag that asks for more is refused
+    # before any search: here --omega would exceed the enumeration cap of 1
+    path = tmp_path / "c5.g6"
+    path.write_text(to_graph6(cycle_graph(5)) + "\n")
+    for argv, flag in ((("analyze", "--text", "--square", "--omega"), "--square"),
+                       (("analyze", "--text", "--omega", "--cap-omega", "1"), "--omega"),
+                       (("verify", "--fixtures", "--text", "--details"), "--details")):
+        args = (*argv, str(path)) if argv[0] == "analyze" else argv
+        assert run_cli(capsys, *args) == (
+            2, "", f"error: --text prints the summary only; drop {flag}\n"), argv
+    code, out, err = run_cli(capsys, "verify", "--fixtures", "--text")
+    assert code == 0, err
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "a83359b1be3598b64fc81e399acc8dea41ff0fd3d10b9ab87ca3c10b69f66606")
+
+
+def test_reports_do_not_depend_on_the_hash_seed():
+    src = Path(cli.__file__).resolve().parents[1]
+    graphs = "".join(to_graph6(g) + "\n" for g in (
+        random_connected_graph(12, 0), random_tree(10, 1), corona_with_k1(cycle_graph(5))))
+    for argv, text in ((["verify", "--exhaustive", "6", "--include-disconnected", "--details"], ""),
+                       (["analyze", "--square", "--omega"], graphs)):
+        outs = []
+        for seed in ("0", "1"):
+            proc = subprocess.run(
+                [sys.executable, "-m", "squarestable", *argv], input=text,
+                capture_output=True, text=True, timeout=120,
+                env=dict(os.environ, PYTHONPATH=str(src), PYTHONHASHSEED=seed),
+            )
+            assert proc.returncode == 0, proc.stderr
+            outs.append(proc.stdout)
+        assert outs[0] == outs[1], argv

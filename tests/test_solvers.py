@@ -63,6 +63,31 @@ def test_maximum_stable_set_is_lex_smallest():
     assert maximum_stable_set(complete_graph(3)) == {0}
 
 
+def test_least_set_walk_starts_from_the_alpha_search_witness(monkeypatch):
+    # The decision searches the walk for the least maximum stable set makes
+    # over 60 seeded graphs and their squares, once alpha is stored, and the
+    # vertices they are handed.  Starting from the set the alpha search
+    # found, it makes 261 and hands them 1,243; starting from no witness,
+    # it made 352 and handed them 1,981.
+    searches = handed = 0
+    search = solvers._alpha_mask
+
+    def counted(adj, mask, floor, stop):
+        nonlocal searches, handed
+        searches += 1
+        handed += mask.bit_count()
+        return search(adj, mask, floor, stop)
+
+    graphs = [random_connected_graph(n, s) for n in (12, 18, 24) for s in range(20)]
+    for g in graphs + [square(g) for g in graphs]:
+        solvers._maximum(g)
+        monkeypatch.setattr(solvers, "_alpha_mask", counted)
+        least = solvers._least_maximum_stable_set.__wrapped__(g)
+        monkeypatch.setattr(solvers, "_alpha_mask", search)
+        assert least == solvers._least_maximum_stable_set(g)
+    assert searches <= 261 and handed <= 1243, (searches, handed)
+
+
 @given(graphs())
 def test_stability_number_matches_oracle(g):
     assert stability_number(g) == oracle_alpha(g)
@@ -106,7 +131,7 @@ def test_masked_stability_number_matches_oracle():
             for m in masks:
                 sub, _ = induced_subgraph(h, bit_indices(m))
                 alpha = oracle_alpha(sub)
-                assert _alpha_mask(h.adj, m, 0, h.n)[0] == alpha
+                assert _alpha_mask(h.adj, m, -1, h.n).bit_count() == alpha
                 # the decisions: every floor and stop around alpha
                 for floor in range(alpha - 2, alpha + 2):
                     for stop in (floor + 1, alpha, alpha + 1, h.n):
@@ -115,14 +140,13 @@ def test_masked_stability_number_matches_oracle():
 
 
 def _check_decision(adj: tuple[int, ...], mask: int, floor: int, stop: int, alpha: int) -> None:
-    # the contract of _alpha_mask: the size is max(floor, alpha) capped at
-    # stop, with a stable witness of that size inside the mask whenever alpha
-    # beats the floor
-    size, witness = _alpha_mask(adj, mask, floor, stop)
-    assert size == min(max(floor, alpha), stop)
+    # the contract of _alpha_mask: no witness when alpha is at most the floor,
+    # and otherwise a stable witness inside the mask of min(alpha, stop)
+    # vertices
+    witness = _alpha_mask(adj, mask, floor, stop)
     assert (witness is None) == (alpha <= floor)
     if witness is not None:
-        assert witness & ~mask == 0 and witness.bit_count() == size
+        assert witness & ~mask == 0 and witness.bit_count() == min(alpha, stop)
         assert all(adj[v] & witness == 0 for v in bit_indices(witness))
 
 
@@ -157,11 +181,11 @@ def test_folding_alone_solves_forests_and_isolated_vertices(monkeypatch):
             kept = [e for e in t.edges() if rng.random() < 0.7]
             forests.append(Graph.from_edges(n, kept))
     for f in forests:
-        size, witness = _alpha_mask(f.adj, f.full_mask(), 0, f.n)
-        assert size == f.n - matching_number(f) == witness.bit_count()
+        witness = _alpha_mask(f.adj, f.full_mask(), -1, f.n)
+        assert witness.bit_count() == f.n - matching_number(f)
         assert is_stable_set(f, bit_indices(witness))
         if f.n <= 12:
-            assert size == oracle_alpha(f)
+            assert witness.bit_count() == oracle_alpha(f)
     assert set(seen) == {0}
 
 
@@ -206,7 +230,8 @@ def test_stability_number_matches_the_search_it_replaced():
         g = random_graph(rng, rng.randint(0, 16), rng.random())
         for h in (g, square(g)):
             for m in (h.full_mask(), rng.getrandbits(h.n)):
-                assert _alpha_mask(h.adj, m, 0, h.n)[0] == _degree_branching_alpha(h.adj, m)
+                assert (_alpha_mask(h.adj, m, -1, h.n).bit_count()
+                        == _degree_branching_alpha(h.adj, m))
                 assert len(_clique_partition(h.adj, m)) == _first_fit_clique_count(h.adj, m)
 
 
