@@ -18,7 +18,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field
 
-from .errors import CapExceededError, InternalCheckError
+from .errors import InternalCheckError
 from .graphs import (
     Graph,
     _is_clique_mask,
@@ -34,10 +34,8 @@ from .graphs import (
 )
 from .matchings import matching_number, pendant_perfect_matching
 from .solvers import (
-    DEFAULT_CAP_N,
-    DEFAULT_CAP_OMEGA,
-    OMEGA_CAP,
-    SOLVER_CAP,
+    ENUMERATION,
+    MATROID_BUDGET,
     _alpha_mask,
     _check_cap,
     _least_maximum_stable_set,
@@ -94,7 +92,7 @@ class ClassificationReport:
 
 def is_square_stable(g: Graph, cap=None) -> bool:
     """True iff the stability number survives squaring the graph."""
-    _check_cap(g.n, cap, DEFAULT_CAP_N, SOLVER_CAP)
+    _check_cap(g.n, cap)
     return _square_stable(g)
 
 
@@ -254,7 +252,7 @@ def alpha_minus_stable(g: Graph, cap=None) -> bool:
     N[K].  Only those edges are searched, each for alpha - 1 - |K| vertices
     of G - N[K] - N[u] - N[v].
     """
-    _check_cap(g.n, cap, DEFAULT_CAP_N, SOLVER_CAP)
+    _check_cap(g.n, cap)
     s = _least_maximum_stable_set(g)
     adj, full = g.adj, g.full_mask()
     if any((adj[v] & s).bit_count() == 1 for v in bit_indices(full & ~s)):
@@ -296,7 +294,7 @@ def _core(g: Graph) -> int:
 def alpha_plus_class(g: Graph, cap=None) -> AlphaPlusClass:
     """Classify by the intersection of all maximum stable sets: empty,
     a single vertex, or larger (alpha then drops under some edge addition)."""
-    _check_cap(g.n, cap, DEFAULT_CAP_N, SOLVER_CAP)
+    _check_cap(g.n, cap)
     return _CLASS_BY_CORE_SIZE[min(_core(g).bit_count(), 2)]
 
 
@@ -369,9 +367,6 @@ def property_p2(g: Graph, s0, cap=None) -> bool:
 # ---------------------------------------------------------------------------
 
 
-_MATROID_SET_BUDGET = 200_000
-
-
 def omega_is_matroid(g: Graph, cap_omega=None) -> bool:
     """True iff the stable sets of ``g`` are the independent sets of a
     matroid, whose bases are then exactly the maximum stable sets.
@@ -384,13 +379,13 @@ def omega_is_matroid(g: Graph, cap_omega=None) -> bool:
     of its closed neighbourhood larger than ``I`` (a larger stable set
     avoiding the neighbourhood would itself provide the augmenting element).
     """
-    _check_cap(g.n, cap_omega, DEFAULT_CAP_OMEGA, OMEGA_CAP)
+    _check_cap(g.n, cap_omega, ENUMERATION)
     exchange = True
-    seen = 0
+    seen, budget = 0, MATROID_BUDGET.default
     for imask in stable_subsets(g, g.full_mask()):
         seen += 1
-        if seen > _MATROID_SET_BUDGET:
-            raise CapExceededError("matroid stable-set budget", _MATROID_SET_BUDGET, seen)
+        if seen > budget:
+            _check_cap(seen, budget, MATROID_BUDGET)
         closed = imask | _reach(g.adj, imask)
         if _alpha_mask(g.adj, closed, imask.bit_count(), imask.bit_count() + 1) is not None:
             exchange = False

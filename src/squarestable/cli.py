@@ -43,13 +43,7 @@ from .graphs import (
     square,
     to_graph6,
 )
-from .solvers import (
-    DEFAULT_CAP_N,
-    SOLVER_CAP,
-    _check_cap,
-    enumerate_maximum_stable_sets,
-    invariant_chain,
-)
+from .solvers import _check_cap, enumerate_maximum_stable_sets, invariant_chain
 from .verify import SUITE_NAMES, run_suite
 
 SCHEMA = "squarestable/1"
@@ -355,7 +349,7 @@ def cmd_generate(args) -> int:
 def cmd_canonical(args) -> int:
     for g in _graph6_lines(_read_input(args.input)):
         # the search recurses once per vertex
-        _check_cap(g.n, args.cap_n, DEFAULT_CAP_N, SOLVER_CAP)
+        _check_cap(g.n, args.cap_n)
         print(canonical_graph6(g))
     return EXIT_OK
 

@@ -62,8 +62,13 @@ def corona_with_k1(base: Graph) -> Graph:
 
 def prufer_to_tree(seq: tuple[int, ...], n: int) -> Graph:
     """The labelled tree on ``n`` vertices encoded by a length n-2 sequence."""
+    return Graph(n, tuple(_prufer_rows(seq, n)))
+
+
+def _prufer_rows(seq: tuple[int, ...], n: int) -> list[int]:
+    # the adjacency rows of prufer_to_tree's tree
     if n == 1:
-        return Graph.from_edges(1, [])
+        return [0]
     if len(seq) != n - 2:
         raise ValueError("sequence length must be n - 2")
     degree = [1] * n
@@ -73,24 +78,25 @@ def prufer_to_tree(seq: tuple[int, ...], n: int) -> Graph:
         degree[x] += 1
     leaves = [v for v in range(n) if degree[v] == 1]
     heapq.heapify(leaves)
-    edges = []
+    adj = [0] * n
     for x in seq:
         v = heapq.heappop(leaves)
-        edges.append((v, x))
+        adj[v] |= 1 << x
+        adj[x] |= 1 << v
         degree[x] -= 1
         if degree[x] == 1:
             heapq.heappush(leaves, x)
-    u = heapq.heappop(leaves)
-    v = heapq.heappop(leaves)
-    edges.append((u, v))
-    return Graph.from_edges(n, edges)
+    u, v = leaves  # the last two leaves
+    adj[u] |= 1 << v
+    adj[v] |= 1 << u
+    return adj
 
 
 def random_tree(n: int, seed: int) -> Graph:
     """Uniformly random labelled tree via a seeded random code sequence."""
     if n < 1:
         raise ValueError("tree needs n >= 1")
-    return _random_tree(n, random.Random(seed))
+    return Graph(n, tuple(_random_tree(n, random.Random(seed))))
 
 
 def random_connected_graph(n: int, seed: int) -> Graph:
@@ -100,24 +106,20 @@ def random_connected_graph(n: int, seed: int) -> Graph:
     return _random_connected(n, random.Random(seed))
 
 
-def _random_tree(n: int, rng: random.Random) -> Graph:
-    """The random tree of both random families; draws nothing when n <= 2."""
-    if n <= 2:
-        return path_graph(n)
-    return prufer_to_tree(tuple(rng.randrange(n) for _ in range(n - 2)), n)
+def _random_tree(n: int, rng: random.Random) -> list[int]:
+    """The rows of both random families' random tree; draws nothing when n <= 2."""
+    return _prufer_rows(tuple(rng.randrange(n) for _ in range(n - 2)), n)
 
 
 def _random_connected(n: int, rng: random.Random) -> Graph:
-    tree = _random_tree(n, rng)
-    if n <= 2:
-        return tree
-    p = rng.uniform(0.0, 0.5)
-    adj = list(tree.adj)
-    for i in range(n):
-        for j in range(i + 1, n):
-            if not adj[i] >> j & 1 and rng.random() < p:
-                adj[i] |= 1 << j
-                adj[j] |= 1 << i
+    adj = _random_tree(n, rng)
+    if n > 2:
+        p = rng.uniform(0.0, 0.5)
+        for i in range(n):
+            for j in range(i + 1, n):
+                if not adj[i] >> j & 1 and rng.random() < p:
+                    adj[i] |= 1 << j
+                    adj[j] |= 1 << i
     return Graph(n, tuple(adj))
 
 
@@ -290,7 +292,7 @@ def enumerate_corpus(max_n: int, connected_only: bool = True) -> Iterator[Graph]
                     code = cols + [col]
                     if not _least_columns(child, code, first_only=True):
                         nxt.append(code)
-            level = sorted(nxt)
+            level = nxt  # children of sorted parents, by increasing last column: sorted
         for cols in level:
             g = Graph(k, _rows(cols))
             if not connected_only or is_connected(g):

@@ -28,14 +28,6 @@ INFINITE = math.inf
 _store = lru_cache(maxsize=8)
 
 
-def mask_of(vertices: Iterable[int]) -> int:
-    """Pack an iterable of vertex indices into a bitmask."""
-    m = 0
-    for v in vertices:
-        m |= 1 << v
-    return m
-
-
 def set_of(mask: int) -> frozenset[int]:
     """Unpack a bitmask into a frozenset of vertex indices."""
     return frozenset(bit_indices(mask))
@@ -334,6 +326,16 @@ def _reach(adj: tuple[int, ...], mask: int) -> int:
     return out
 
 
+def _layers(adj: tuple[int, ...], start: int) -> Iterator[int]:
+    """The breadth-first layers from the vertex mask ``start``: ``start``
+    itself, then each set of vertices first reached one step further."""
+    seen = layer = start
+    while layer:
+        yield layer
+        layer = _reach(adj, layer) & ~seen
+        seen |= layer
+
+
 def distance_matrix(g: Graph) -> list[list]:
     """Exact hop distances via BFS from every vertex.
 
@@ -343,27 +345,14 @@ def distance_matrix(g: Graph) -> list[list]:
     d: list[list] = [[INFINITE] * n for _ in range(n)]
     for s in range(n):
         row = d[s]
-        row[s] = 0
-        seen = frontier = 1 << s
-        dist = 0
-        while frontier:
-            frontier = _reach(g.adj, frontier) & ~seen
-            seen |= frontier
-            dist += 1
-            mm = frontier
-            while mm:
-                b = mm & -mm
-                row[b.bit_length() - 1] = dist
-                mm ^= b
+        for dist, layer in enumerate(_layers(g.adj, 1 << s)):
+            for v in bit_indices(layer):
+                row[v] = dist
     return d
 
 
 def _component_mask(g: Graph, start: int) -> int:
-    seen = frontier = 1 << start
-    while frontier:
-        frontier = _reach(g.adj, frontier) & ~seen
-        seen |= frontier
-    return seen
+    return sum(_layers(g.adj, 1 << start))  # the layers are disjoint
 
 
 def components(g: Graph) -> list[frozenset[int]]:
@@ -477,14 +466,10 @@ def is_bipartite(g: Graph) -> bool:
     breadth-first layer of a component, since such an edge closes one."""
     left = g.full_mask()
     while left:
-        seen = layer = left & -left
-        while layer:
-            reach = _reach(g.adj, layer)
-            if reach & layer:
+        for layer in _layers(g.adj, left & -left):
+            if _reach(g.adj, layer) & layer:
                 return False
-            layer = reach & ~seen
-            seen |= layer
-        left &= ~seen
+            left &= ~layer
     return True
 
 

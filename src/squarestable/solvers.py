@@ -29,7 +29,8 @@ against accidental blow-ups: a solver cap (default 64) on every number and
 set computed here, and an enumeration cap (default 24) only on the searches
 that list a family, which can be exponential even when the number is easy:
 the enumeration of maximum stable sets here and
-``classify.omega_is_matroid``'s scan of every stable set.
+``classify.omega_is_matroid``'s scan of every stable set, which also has a
+budget of stable sets.  ``_check_cap`` makes every refusal of the package.
 
 Each value is computed once per graph.  A cap-free private helper computes
 it and keeps it for the last few graphs asked about, in a bounded store
@@ -45,6 +46,7 @@ again every time, and builds the sets it hands out from the stored masks.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import CapExceededError, InternalCheckError
 from .graphs import Graph, _store, bit_indices, set_of, square
@@ -53,14 +55,22 @@ from .matchings import matching_number
 DEFAULT_CAP_N = 64
 DEFAULT_CAP_OMEGA = 24
 
-SOLVER_CAP = "exact solver cap"
-OMEGA_CAP = "stable-set enumeration cap"
+
+class _CapKind(NamedTuple):
+    default: int  # the limit when the caller gives none
+    name: str  # the name a refusal carries
 
 
-def _check_cap(n: int, cap, default: int, name: str) -> None:
-    limit = default if cap is None else cap
-    if n > limit:
-        raise CapExceededError(name, limit, n)
+SOLVER = _CapKind(DEFAULT_CAP_N, "exact solver cap")
+ENUMERATION = _CapKind(DEFAULT_CAP_OMEGA, "stable-set enumeration cap")
+MATROID_BUDGET = _CapKind(200_000, "matroid stable-set budget")
+
+
+def _check_cap(n: int, cap, kind: _CapKind = SOLVER) -> None:
+    if cap is None:
+        cap = kind.default
+    if n > cap:
+        raise CapExceededError(kind.name, cap, n)
 
 
 @dataclass(frozen=True)
@@ -172,7 +182,7 @@ def stability_number(g: Graph, cap=None) -> int:
     """Exact maximum size of a stable set: the maximum clique of the complement
     by MCQ, which splits the candidates into cliques of ``g``, branches in
     decreasing class number and cuts a node once size + class number <= best."""
-    _check_cap(g.n, cap, DEFAULT_CAP_N, SOLVER_CAP)
+    _check_cap(g.n, cap)
     return _maximum(g).bit_count()
 
 
@@ -185,7 +195,7 @@ def _maximum(g: Graph) -> int:
 def maximum_stable_set(g: Graph, cap=None) -> frozenset[int]:
     """One maximum stable set: the lexicographically smallest as a sorted
     vertex list."""
-    _check_cap(g.n, cap, DEFAULT_CAP_N, SOLVER_CAP)
+    _check_cap(g.n, cap)
     return set_of(_least_maximum_stable_set(g))
 
 
@@ -220,7 +230,7 @@ def _least_maximum_stable_set(g: Graph) -> int:
 
 def enumerate_maximum_stable_sets(g: Graph, cap=None) -> StableSetFamily:
     """Every maximum stable set, exactly once, in lexicographic order."""
-    _check_cap(g.n, cap, DEFAULT_CAP_OMEGA, OMEGA_CAP)
+    _check_cap(g.n, cap, ENUMERATION)
     sets = tuple(set_of(m) for m in _omega(g))  # never empty: alpha = 0 has the empty set
     return StableSetFamily(sets, sets[0].intersection(*sets[1:]))
 
@@ -261,7 +271,7 @@ def _omega(g: Graph) -> tuple[int, ...]:
 def independent_domination_number(g: Graph, cap=None) -> int:
     """Minimum cardinality of a maximal stable set: the domination search of
     ``domination_number`` restricted to choices that keep the set stable."""
-    _check_cap(g.n, cap, DEFAULT_CAP_N, SOLVER_CAP)
+    _check_cap(g.n, cap)
     return _idom(g)
 
 
@@ -281,7 +291,7 @@ def domination_number(g: Graph, cap=None) -> int:
     must be uncovered, and it branches on the uncovered vertex with the
     fewest uncovered closed neighbours, ties to the lowest index.
     """
-    _check_cap(g.n, cap, DEFAULT_CAP_N, SOLVER_CAP)
+    _check_cap(g.n, cap)
     return _gamma(g)
 
 
@@ -391,7 +401,7 @@ def clique_cover(g: Graph, cap=None) -> list[frozenset[int]]:
     (Brélaz 1979), bounded below by the stability number of the graph, which
     is the clique number of the complement.
     """
-    _check_cap(g.n, cap, DEFAULT_CAP_N, SOLVER_CAP)
+    _check_cap(g.n, cap)
     return sorted((set_of(c) for c in _cover(g)), key=sorted)
 
 
@@ -480,7 +490,7 @@ def _cover(g: Graph) -> tuple[int, ...]:
 
 def clique_cover_number(g: Graph, cap=None) -> int:
     """Minimum number of cliques whose union covers the vertex set."""
-    _check_cap(g.n, cap, DEFAULT_CAP_N, SOLVER_CAP)
+    _check_cap(g.n, cap)
     return len(_cover(g))
 
 
@@ -497,7 +507,7 @@ def invariant_chain(g: Graph, cap=None) -> InvariantRecord:
     :class:`InternalCheckError` rather than returning silently.  The solver
     cap is checked before any search, so a refusal costs nothing.
     """
-    _check_cap(g.n, cap, DEFAULT_CAP_N, SOLVER_CAP)
+    _check_cap(g.n, cap)
     sq = square(g)
     record = InvariantRecord(
         alpha=stability_number(g, cap),

@@ -54,8 +54,7 @@ from .graphs import (
 )
 from .matchings import _count_matchings_into, pendant_perfect_matching
 from .solvers import (
-    DEFAULT_CAP_OMEGA,
-    OMEGA_CAP,
+    ENUMERATION,
     _alpha_mask,
     _check_cap,
     _omega as _omega_masks,
@@ -86,26 +85,33 @@ def _spread(g: Graph, m: int) -> bool:
     return True
 
 
-def _omega(g: Graph, cap_omega) -> tuple[int, ...]:
+def _check_family_caps(g: Graph, cap, cap_omega) -> None:
+    """Refuse a search that lists a family of ``g`` above either cap, the
+    enumeration cap first."""
+    _check_cap(g.n, cap_omega, ENUMERATION)
+    _check_cap(g.n, cap)
+
+
+def _omega(g: Graph, cap, cap_omega) -> tuple[int, ...]:
     """Omega(G) as vertex masks, in lexicographic order."""
-    _check_cap(g.n, cap_omega, DEFAULT_CAP_OMEGA, OMEGA_CAP)
+    _check_family_caps(g, cap, cap_omega)
     return _omega_masks(g)
 
 
-def _omega_sq(g: Graph, cap_omega) -> tuple[int, ...]:
-    return _omega(square(g), cap_omega)
+def _omega_sq(g: Graph, cap, cap_omega) -> tuple[int, ...]:
+    return _omega(square(g), cap, cap_omega)
 
 
 def _isolated(g: Graph) -> bool:
     return g.n == 0 or 0 in g.adj
 
 
-def _all_differences(route, g: Graph, cap_omega) -> bool:
+def _all_differences(route, g: Graph, cap, cap_omega) -> bool:
     """Whether ``route`` holds for the mask S1 ^ S2 of every S1 in Omega(G)
     and S2 in Omega(G^2).  S2 is stable in G too, so G[S1 ^ S2] is
     bipartite between S1 - S2 and S2 - S1."""
-    omega_sq = _omega_sq(g, cap_omega)
-    return all(route(g, s1 ^ s2) for s1 in _omega(g, cap_omega) for s2 in omega_sq)
+    omega_sq = _omega_sq(g, cap, cap_omega)
+    return all(route(g, s1 ^ s2) for s1 in _omega(g, cap, cap_omega) for s2 in omega_sq)
 
 
 def _unique_pm(g: Graph, d: int) -> bool:
@@ -140,23 +146,24 @@ _STATEMENTS = {
         clique_cover_number(g, cap),
     }) == 1,
     "square_omega_contained":
-        lambda g, cap, cap_omega: set(_omega_sq(g, cap_omega)) <= set(_omega(g, cap_omega)),
+        lambda g, cap, cap_omega:
+        set(_omega_sq(g, cap, cap_omega)) <= set(_omega(g, cap, cap_omega)),
     "distance3_maximum_stable_set":
-        lambda g, cap, cap_omega: any(_spread(g, s) for s in _omega(g, cap_omega)),
+        lambda g, cap, cap_omega: any(_spread(g, s) for s in _omega(g, cap, cap_omega)),
     "some_set_uniquely_matchable":
-        lambda g, cap, cap_omega: any(_p1(g, s) for s in _omega(g, cap_omega)),
+        lambda g, cap, cap_omega: any(_p1(g, s) for s in _omega(g, cap, cap_omega)),
     "all_square_sets_uniquely_matchable":
-        lambda g, cap, cap_omega: all(_p1(g, s) for s in _omega_sq(g, cap_omega)),
+        lambda g, cap, cap_omega: all(_p1(g, s) for s in _omega_sq(g, cap, cap_omega)),
     "symmetric_differences_unique_pm":
-        lambda g, cap, cap_omega: _all_differences(_unique_pm, g, cap_omega),
+        lambda g, cap, cap_omega: _all_differences(_unique_pm, g, cap, cap_omega),
     "symmetric_differences_have_pm":
-        lambda g, cap, cap_omega: _all_differences(_has_pm, g, cap_omega),
+        lambda g, cap, cap_omega: _all_differences(_has_pm, g, cap, cap_omega),
     "symmetric_differences_induced_pm":
-        lambda g, cap, cap_omega: _all_differences(_induced_pm, g, cap_omega),
+        lambda g, cap, cap_omega: _all_differences(_induced_pm, g, cap, cap_omega),
     "some_set_exchangeable":
-        lambda g, cap, cap_omega: any(_p2(g, s, cap) for s in _omega(g, cap_omega)),
+        lambda g, cap, cap_omega: any(_p2(g, s, cap) for s in _omega(g, cap, cap_omega)),
     "all_square_sets_exchangeable":
-        lambda g, cap, cap_omega: all(_p2(g, s, cap) for s in _omega_sq(g, cap_omega)),
+        lambda g, cap, cap_omega: all(_p2(g, s, cap) for s in _omega_sq(g, cap, cap_omega)),
 }
 
 STATEMENT_NAMES = tuple(_STATEMENTS)
@@ -210,7 +217,7 @@ def _distance3_attained(g: Graph, cap, cap_omega):
     # member next to the radius-2 ball around a lies at distance exactly 3
     rows = square(g).adj
     return all(s & ~(1 << a) & _reach(g.adj, rows[a] | 1 << a)
-               for s in _omega_sq(g, cap_omega) for a in bit_indices(s))
+               for s in _omega_sq(g, cap, cap_omega) for a in bit_indices(s))
 
 
 def _pendant_matching_forces_square_omega(g: Graph, cap, cap_omega) -> bool:
@@ -221,7 +228,7 @@ def _pendant_matching_forces_square_omega(g: Graph, cap, cap_omega) -> bool:
     # a matching edge with two pendant endpoints (a K2 component) leaves a
     # per-edge choice, so the family cannot be a singleton
     pend = _pendants(g)
-    return bool(_reach(g.adj, pend) & pend) or _omega_sq(g, cap_omega) == (pend,)
+    return bool(_reach(g.adj, pend) & pend) or _omega_sq(g, cap, cap_omega) == (pend,)
 
 
 def _ke_pendant_characterisation(g: Graph, cap, cap_omega):
@@ -247,13 +254,13 @@ def _component_reduction(g: Graph, cap, cap_omega) -> bool:
 _CLAUSES = {
     "square_stable_iff_square_omega_contained":
         lambda g, cap, cap_omega: is_square_stable(g, cap)
-        == (set(_omega_sq(g, cap_omega)) <= set(_omega(g, cap_omega))),
+        == (set(_omega_sq(g, cap, cap_omega)) <= set(_omega(g, cap, cap_omega))),
     "square_omega_pairwise_distance3":
-        lambda g, cap, cap_omega: all(_spread(g, s) for s in _omega_sq(g, cap_omega)),
+        lambda g, cap, cap_omega: all(_spread(g, s) for s in _omega_sq(g, cap, cap_omega)),
     "square_omega_distance3_attained": _distance3_attained,
     "omega_equality_iff_complete":
         lambda g, cap, cap_omega:
-        ((_omega_sq(g, cap_omega) == _omega(g, cap_omega)) == is_complete(g))
+        ((_omega_sq(g, cap, cap_omega) == _omega(g, cap, cap_omega)) == is_complete(g))
         if is_connected(g) else None,
     "square_stable_not_alpha_minus":
         lambda g, cap, cap_omega: None if _isolated(g)
@@ -426,6 +433,7 @@ def _girth6(gid: str, g: Graph, cap, cap_omega):
 
 
 def _matroid(gid: str, g: Graph, cap, cap_omega):
+    _check_family_caps(g, cap, cap_omega)
     try:
         omega_is_matroid(g, cap_omega)
     except InternalCheckError as exc:

@@ -502,6 +502,14 @@ def test_omega_matroid_routes_never_disagree(g):
     omega_is_matroid(g)  # raises InternalCheckError on route disagreement
 
 
+def test_omega_matroid_refuses_a_scan_beyond_its_budget():
+    # the edgeless graph is a matroid, so its scan never stops early, and it
+    # has 2^18 stable sets
+    with pytest.raises(CapExceededError,
+                       match=r"^matroid stable-set budget exceeded \(200001 > 200000\)$"):
+        omega_is_matroid(Graph(18, (0,) * 18))
+
+
 def _union_of_cliques(sizes: list[int]) -> Graph:
     starts = [sum(sizes[:i]) for i in range(len(sizes))]
     return Graph.from_edges(sum(sizes), [

@@ -31,7 +31,6 @@ from squarestable.graphs import (
     is_connected,
     is_stable_set,
     is_tree,
-    mask_of,
     parse_edge_list,
     parse_graph6,
     perfect_elimination_ordering,
@@ -378,7 +377,7 @@ def test_bit_kernel_matches_its_definition(monkeypatch):
         indices = oracle_bits(m)
         assert bit_indices(m) == indices, m
         assert set_of(m) == frozenset(indices), m
-        assert mask_of(indices) == m, m
+        assert sum(1 << v for v in indices) == m, m
     assert len(graphs_module._BYTE_BITS) == 8
 
 

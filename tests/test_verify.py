@@ -20,7 +20,6 @@ from squarestable.graphs import (
     Graph,
     bit_indices,
     induced_subgraph,
-    mask_of,
     square,
     stable_subsets,
     to_graph6,
@@ -100,6 +99,22 @@ def test_equivalences_mark_unevaluated_on_cap():
     assert report.agree
 
 
+def test_family_searches_are_refused_above_the_solver_cap():
+    # C10 lies within the enumeration cap but above the solver cap, which
+    # guards every search over Omega as well
+    g = cycle_graph(10)
+    report = verify_equivalences(g, cap=5, cap_omega=24)
+    assert dict(zip(STATEMENT_NAMES, report.statements)) == {
+        name: False if name == "simplex_partition" else None for name in STATEMENT_NAMES}
+    clauses = {name: value for name, value, _ in implication_clauses(g, cap=5, cap_omega=24)}
+    assert clauses["square_omega_pairwise_distance3"] is None
+    assert clauses["omega_equality_iff_complete"] is None
+    # no pendant perfect matching: true without reading any cap
+    assert clauses["pendant_matching_forces_square_omega"] is True
+    suite = run_suite([("c10", g)], ("matroid",), cap=5, cap_omega=24).suites[0]
+    assert (suite.graphs_checked, suite.skipped) == (0, 1)
+
+
 def assert_mask_routes_match_the_subgraph(g, d):
     # each symmetric-difference route on the mask d against its definition
     # on the subgraph G[d], built
@@ -121,7 +136,7 @@ def test_mask_routes_match_the_subgraph_on_omega_pairs():
         omega_sq = enumerate_maximum_stable_sets(square(g)).sets
         for s1 in enumerate_maximum_stable_sets(g).sets:
             for s2 in omega_sq:
-                assert_mask_routes_match_the_subgraph(g, mask_of(s1 ^ s2))
+                assert_mask_routes_match_the_subgraph(g, sum(1 << v for v in s1 ^ s2))
 
 
 # ---------------------------------------------------------------------------
