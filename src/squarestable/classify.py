@@ -145,22 +145,17 @@ def _least_small_maximal_stable_set(g: Graph, alpha: int) -> frozenset[int]:
 
     def rec(undominated: int, cand: int) -> bool:
         # cand: the undominated vertices above the last member
-        skipped = undominated & ~cand
-        while skipped:
-            b = skipped & -skipped
-            if not adj[b.bit_length() - 1] & cand:
+        for w in bit_indices(undominated & ~cand):
+            if not adj[w] & cand:
                 return False
-            skipped ^= b
         if not undominated:
             return True
         if len(chosen) + 1 >= alpha:
             return False
-        while cand:
-            b = cand & -cand
-            cand ^= b
-            v = b.bit_length() - 1
+        for v in bit_indices(cand):
+            cand ^= 1 << v
             chosen.append(v)
-            if rec(undominated & ~adj[v] & ~b, cand & ~adj[v]):
+            if rec(undominated & ~adj[v] & ~(1 << v), cand & ~adj[v]):
                 return True
             chosen.pop()
         return False

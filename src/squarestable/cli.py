@@ -153,8 +153,7 @@ def cmd_analyze(args) -> int:
     _check_text(args, ("square", "omega"))
     text = _read_input(args.input)
     if not any(line.split("#", 1)[0].strip() for line in text.splitlines()):
-        print("error: empty input", file=sys.stderr)
-        return EXIT_INPUT
+        raise ParseError("empty input")
     graphs = [parse_edge_list(text)] if args.format == "edges" else _graph6_lines(text)
     for g in graphs:
         doc = _analyze_doc(g, args)
@@ -250,27 +249,23 @@ def _corpus_from_args(args) -> tuple[list[tuple[str, Graph]], dict, bool]:
         if args.exhaustive > EXHAUSTIVE_MAX_N:
             raise ParseError(f"--exhaustive is capped at {EXHAUSTIVE_MAX_N} vertices, "
                              f"got {args.exhaustive}; use --sample beyond that")
-        items = [
-            (to_graph6(g), g)
-            for g in enumerate_corpus(args.exhaustive, not args.include_disconnected)
-        ]
+        graphs = enumerate_corpus(args.exhaustive, not args.include_disconnected)
         meta = {
             "mode": "exhaustive",
             "max_n": args.exhaustive,
             "connected_only": not args.include_disconnected,
         }
-        return items, meta, False
-    if args.fixtures:
+    elif args.fixtures:
         items = [(name, named_fixture(name)) for name in FIXTURE_NAMES]
         return items, {"mode": "fixtures"}, True
-    if args.family:
+    elif args.family:
         g = _family_graph(args.family, args.seed, args.corona_base, "--corona-base",
                           "--family corona requires --corona-base FAMILY PARAMS...")
         gid = " ".join(args.family)
         if args.family[0] == "corona":
             gid = "corona(" + " ".join(args.corona_base) + ")"
         return [(gid, g)], {"mode": "family", "spec": gid}, True
-    if args.sample is not None:
+    elif args.sample is not None:
         if args.seed is None:
             raise ParseError("--sample requires --seed")
         if args.sample < 1:
@@ -279,19 +274,16 @@ def _corpus_from_args(args) -> tuple[list[tuple[str, Graph]], dict, bool]:
             args.max_n = 12
         if args.max_n < 1:
             raise ParseError(f"--max-n must be at least 1, got {args.max_n}")
-        items = [
-            (to_graph6(g), g)
-            for g in sample_corpus(args.sample, args.max_n, args.seed,
-                                   not args.include_disconnected)
-        ]
+        graphs = sample_corpus(args.sample, args.max_n, args.seed, not args.include_disconnected)
         meta = {
             "mode": "sample",
             "count": args.sample,
             "max_n": args.max_n,
             "seed": args.seed,
         }
-        return items, meta, False
-    raise ParseError("no corpus selected: use --exhaustive, --fixtures, --family or --sample")
+    else:
+        raise ParseError("no corpus selected: use --exhaustive, --fixtures, --family or --sample")
+    return [(to_graph6(g), g) for g in graphs], meta, False
 
 
 def _verify_table(report) -> str:

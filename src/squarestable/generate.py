@@ -67,10 +67,12 @@ def prufer_to_tree(seq: tuple[int, ...], n: int) -> Graph:
 
 def _prufer_rows(seq: tuple[int, ...], n: int) -> list[int]:
     # the adjacency rows of prufer_to_tree's tree
+    if n < 1:
+        raise ValueError("tree needs n >= 1")
+    if len(seq) != max(n - 2, 0):
+        raise ValueError("sequence length must be n - 2")
     if n == 1:
         return [0]
-    if len(seq) != n - 2:
-        raise ValueError("sequence length must be n - 2")
     degree = [1] * n
     for x in seq:
         if not 0 <= x < n:
@@ -94,8 +96,6 @@ def _prufer_rows(seq: tuple[int, ...], n: int) -> list[int]:
 
 def random_tree(n: int, seed: int) -> Graph:
     """Uniformly random labelled tree via a seeded random code sequence."""
-    if n < 1:
-        raise ValueError("tree needs n >= 1")
     return Graph(n, tuple(_random_tree(n, random.Random(seed))))
 
 

@@ -215,6 +215,8 @@ def _count_matchings_into(g: Graph, amask: int, smask: int, cap: int):
     of ``smask``, saturated at ``cap``, and return the first one found.  The
     lowest free vertex of ``amask`` goes next, so with ``amask == smask``
     these are the perfect matchings of the subgraph that mask induces."""
+    if cap < 1:
+        raise ValueError(f"cap must be at least 1, got {cap}")
     witness: Optional[frozenset] = None
 
     def rec(free: int, acc: list[tuple[int, int]]) -> int:

@@ -12,8 +12,8 @@ forests and coronas need no branching.  A caller that asks whether alpha
 reaches a size gives a floor for the incumbent and a stop at which the
 search ends, and gets the set found as a witness.  The clique cover is a
 DSATUR colouring of the complement, stopped as soon as it meets the
-stability number; it keeps each vertex's number of neighbouring classes in
-bit-sliced counters (one mask per bit of the count), so a ripple carry
+stored stability number; it keeps each vertex's number of neighbouring classes
+in bit-sliced counters (one mask per bit of the count), so a ripple carry
 raises a count and one intersection per slice finds the most saturated
 vertices.  Domination branches on the uncovered vertex with the
 fewest dominators, skips a dominator whose gain on the uncovered set lies
@@ -311,12 +311,9 @@ def _domination_search(g: Graph, independent: bool, lower: int = 0) -> int:
     # when it was chosen, so in that case the greedy picks, the gains bound
     # and the branching choices all range over the uncovered vertices only.
     # The search stops once it finds a set of the size of a known lower bound.
-    n = g.n
-    if n == 0:
-        return 0
     closed = tuple(m | (1 << v) for v, m in enumerate(g.adj))
     full = g.full_mask()
-    vertices = range(n)
+    vertices = range(g.n)
     branch_order = sorted(vertices, key=lambda v: (closed[v].bit_count(), v))
 
     # greedy cover for the initial upper bound
@@ -407,23 +404,21 @@ def clique_cover(g: Graph, cap=None) -> list[frozenset[int]]:
 
 @_store
 def _cover(g: Graph) -> tuple[int, ...]:
-    # a minimum colouring of the complement, whose clique number, alpha of
-    # g, is read only when the greedy bounds do not already meet
+    # a minimum colouring of the complement, bounded below by its clique
+    # number, the stored alpha of g
     n, full = g.n, g.full_mask()
     adj = tuple(full & ~m & ~(1 << v) for v, m in enumerate(g.adj))
-    # greedy clique seeds the greedy colouring's order and the lower bound
+    lower = _maximum(g).bit_count()
+    # a greedy clique goes first in the greedy colouring's order
     order_by_degree = sorted(range(n), key=lambda v: (-adj[v].bit_count(), v))
-    clique: list[int] = []
     cmask = 0
     for v in order_by_degree:
         if cmask & ~adj[v] == 0:
-            clique.append(v)
             cmask |= 1 << v
-    lower = len(clique)
 
     # greedy colouring for the initial upper bound
     best: list[int] = []
-    for v in clique + [v for v in order_by_degree if not cmask >> v & 1]:
+    for v in sorted(order_by_degree, key=lambda u: not cmask >> u & 1):
         for i, cl in enumerate(best):
             if cl & adj[v] == 0:
                 best[i] = cl | (1 << v)
@@ -431,8 +426,6 @@ def _cover(g: Graph) -> tuple[int, ...]:
         else:
             best.append(1 << v)
     best_k = len(best)
-    if best_k > lower:
-        lower = _maximum(g).bit_count()
 
     classes: list[int] = []
     reach: list[int] = []  # reach[i]: the vertices adjacent to classes[i]

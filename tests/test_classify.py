@@ -433,10 +433,11 @@ def test_property_p1_examples():
 
 
 def test_property_p1_precondition():
-    with pytest.raises(ValueError, match="maximum"):
-        property_p1(path_graph(4), {1})
-    with pytest.raises(ValueError, match="stable"):
-        property_p1(path_graph(4), {0, 1})
+    for prop in (property_p1, property_p2):
+        with pytest.raises(ValueError, match="^s0 must be a maximum stable set$"):
+            prop(path_graph(4), {1})
+        with pytest.raises(ValueError, match="^s0 must be a stable set$"):
+            prop(path_graph(4), {0, 1})
 
 
 def test_property_p2_examples():

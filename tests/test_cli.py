@@ -56,15 +56,24 @@ def test_analyze_fixture_edges(capsys, tmp_path):
 def test_analyze_empty_input_is_an_error(capsys, tmp_path):
     path = tmp_path / "empty"
     path.write_text("")
-    code, out, err = run_cli(capsys, "analyze", str(path))
-    assert code == 2 and "empty" in err
+    assert run_cli(capsys, "analyze", str(path)) == (2, "", "error: empty input\n")
+    # comments and blank lines alone are empty too
+    path.write_text("# nothing\n\n")
+    assert run_cli(capsys, "analyze", str(path)) == (2, "", "error: empty input\n")
+
+
+def test_analyze_unreadable_input_is_an_error(capsys, tmp_path):
+    missing = tmp_path / "missing.g6"
+    assert run_cli(capsys, "analyze", str(missing)) == (
+        2, "", f"error: cannot read {missing}: [Errno 2] No such file or directory: "
+               f"'{missing}'\n")
 
 
 def test_analyze_bad_graph6_is_an_error(capsys, tmp_path):
     path = tmp_path / "bad.g6"
     path.write_text("C\x01\n")
-    code, out, err = run_cli(capsys, "analyze", str(path))
-    assert code == 2
+    assert run_cli(capsys, "analyze", str(path)) == (
+        2, "", "error: line 1: invalid character in graph6 string\n")
 
 
 def test_graph6_input_names_the_bad_line(capsys, tmp_path):
@@ -195,10 +204,12 @@ def test_negative_caps_are_input_errors(capsys, tmp_path, monkeypatch):
     ]
     for argv, message in cases:
         assert run_cli(capsys, *argv) == (2, "", f"error: {message}\n"), argv
-    monkeypatch.setenv("SQSTABLE_CAP_N", "-2")
-    for argv in (("analyze", str(path)), family):
-        assert run_cli(capsys, *argv) == (
-            2, "", "error: SQSTABLE_CAP_N must be at least 0, got -2\n"), argv
+    for env, message in (("-2", "must be at least 0, got -2"),
+                         ("many", "must be an integer, got 'many'")):
+        monkeypatch.setenv("SQSTABLE_CAP_N", env)
+        for argv in (("analyze", str(path)), family):
+            assert run_cli(capsys, *argv) == (
+                2, "", f"error: SQSTABLE_CAP_N {message}\n"), argv
     # a flag overrides the variable, and a cap of 0 refuses every vertex
     assert run_cli(capsys, "analyze", "--cap-n", "0", str(path)) == (
         3, "", "error: exact solver cap exceeded (5 > 0)\n")
@@ -287,8 +298,8 @@ def test_verify_unknown_suite(capsys):
 
 
 def test_verify_suite_list_naming_no_suite_is_an_error(capsys):
-    code, out, err = run_cli(capsys, "verify", "--fixtures", "--suite", ",")
-    assert code == 2 and "--suite" in err and out == ""
+    assert run_cli(capsys, "verify", "--fixtures", "--suite", ",") == (
+        2, "", "error: --suite names no suite: ','\n")
 
 
 def test_verify_suite_named_twice_is_an_error(capsys):
@@ -334,6 +345,7 @@ CORPUS_OPTION_ERRORS = [
      "--include-disconnected is used only by --exhaustive and --sample, not by --fixtures"),
     (["--family", "cycle", "5", "--include-disconnected"],
      "--include-disconnected is used only by --exhaustive and --sample, not by --family"),
+    ([], "no corpus selected: use --exhaustive, --fixtures, --family or --sample"),
 ]
 
 

@@ -41,10 +41,23 @@ def test_basic_families():
     assert path_graph(1).n == 1
     assert star_graph(4) == complete_bipartite_graph(1, 4)
     assert complete_bipartite_graph(2, 3).edge_count == 6
-    with pytest.raises(ValueError):
-        cycle_graph(2)
-    with pytest.raises(ValueError):
-        path_graph(0)
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: path_graph(0), "path needs n >= 1"),
+    (lambda: cycle_graph(2), "cycle needs n >= 3"),
+    (lambda: complete_graph(0), "complete graph needs n >= 1"),
+    (lambda: star_graph(0), "star needs at least one leaf"),
+    (lambda: complete_bipartite_graph(2, 0), "both sides need at least one vertex"),
+    (lambda: random_tree(0, 1), "tree needs n >= 1"),
+    (lambda: random_connected_graph(0, 1), "graph needs n >= 1"),
+    (lambda: prufer_to_tree((0, 4), 4), "sequence entry out of range"),
+], ids=["path", "cycle", "complete", "star", "complete_bipartite", "random_tree",
+        "random_connected", "prufer_entry"])
+def test_families_refuse_sizes_they_cannot_build(build, message):
+    with pytest.raises(ValueError) as info:
+        build()
+    assert str(info.value) == message
 
 
 def test_corona_attaches_one_pendant_per_vertex():
@@ -76,6 +89,12 @@ def test_prufer_decoding():
     assert prufer_to_tree((1, 1), 4).edges() == [(0, 1), (1, 2), (1, 3)]
     assert prufer_to_tree((), 2) == path_graph(2)
     assert prufer_to_tree((), 1).n == 1
+    # the length is checked before the one-vertex shortcut, and n >= 1 first
+    for seq, n, message in [((3,), 1, "sequence length must be n - 2"),
+                            ((0, 0, 0), 1, "sequence length must be n - 2"),
+                            ((), 0, "tree needs n >= 1")]:
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            prufer_to_tree(seq, n)
 
 
 # ---------------------------------------------------------------------------

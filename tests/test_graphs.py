@@ -84,6 +84,19 @@ def test_parse_edge_list_rejects_non_integer():
         parse_edge_list("0 1\n1 x")
 
 
+@pytest.mark.parametrize("text, message", [
+    ("n 3 4\n0 1", "line 1: malformed header, expected 'n <count>'"),
+    ("n x\n0 1", "line 1: non-integer vertex count 'x'"),
+    ("n -2", "line 1: negative vertex count"),
+    ("0 1\n1 2 3", "line 2: expected 'u v', got '1 2 3'"),
+    ("0 1\n-1 2", "line 2: negative vertex index"),
+], ids=["header", "count_not_integer", "count_negative", "not_a_pair", "index_negative"])
+def test_parse_edge_list_names_each_fault(text, message):
+    with pytest.raises(ParseError) as info:
+        parse_edge_list(text)
+    assert str(info.value) == message
+
+
 def test_parse_edge_list_comments_and_blanks():
     g = parse_edge_list("# a path\n\nn 4\n0 1  # first\n1 2\n2 3\n")
     assert g.edges() == [(0, 1), (1, 2), (2, 3)]
@@ -122,10 +135,28 @@ def test_parse_graph6_header_allowed():
     assert parse_graph6(">>graph6<<C~") == complete_graph(4)
 
 
-@pytest.mark.parametrize("bad", ["", "C", "C~~", "C\x01", "~~??", "B~"])
+GRAPH6_FAULTS = {
+    "": "empty graph6 string",
+    "C": "graph6 payload has 0 sextets, expected 1 for n=4",
+    "C~~": "graph6 payload has 2 sextets, expected 1 for n=4",
+    "C\x01": "invalid character in graph6 string",
+    "~??": "truncated graph6 long-form header",
+    "~~??": "graph6 8-byte order encoding not supported",
+    "B~": "nonzero padding bits in graph6 payload",
+}
+
+
+@pytest.mark.parametrize("bad", list(GRAPH6_FAULTS))
 def test_parse_graph6_rejects_malformed(bad):
-    with pytest.raises(ParseError):
+    with pytest.raises(ParseError) as info:
         parse_graph6(bad)
+    assert str(info.value) == GRAPH6_FAULTS[bad]
+
+
+def test_to_graph6_refuses_orders_beyond_the_long_form():
+    n = 258048
+    with pytest.raises(ValueError, match="^graph too large for supported graph6 forms$"):
+        to_graph6(Graph(n, (0,) * n))
 
 
 @given(graphs())
@@ -404,8 +435,10 @@ def test_graph_rejects_asymmetric_adjacency():
         Graph(3, (0b010, 0b101, 0b011))
     with pytest.raises(ValueError):
         Graph(1, (1,))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^edge \(0, 2\) out of range for n=2$"):
         Graph.from_edges(2, [(0, 2)])
+    with pytest.raises(ValueError, match="^cannot add a self-loop$"):
+        Graph(2, (0, 0)).add_edge(1, 1)
 
 
 @pytest.mark.parametrize("n, adj, message", [

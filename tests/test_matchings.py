@@ -204,9 +204,9 @@ def test_is_induced_matching_examples():
 
 
 def test_is_induced_matching_rejects_invalid():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^not a valid matching of this graph$"):
         is_induced_matching(path_graph(4), {(0, 2)})
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^not a valid matching of this graph$"):
         is_induced_matching(path_graph(4), {(0, 1), (1, 2)})
 
 
@@ -237,8 +237,20 @@ def test_match_into_examples():
     assert count == 1 and witness == {(2, 3)}
     count, witness = match_into(path_graph(4), set(), {0, 2})
     assert count == 1 and witness == frozenset()
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^the two vertex sets must be disjoint$"):
         match_into(path_graph(4), {0, 1}, {1, 3})
+
+
+@pytest.mark.parametrize("cap", [0, -1])
+def test_matching_counters_refuse_caps_below_one(cap):
+    # a cap below 1 could only report a count of 0 beside a witness, or a
+    # count above the cap
+    message = f"^cap must be at least 1, got {cap}$"
+    with pytest.raises(ValueError, match=message):
+        count_perfect_matchings(cycle_graph(4), cap=cap)
+    for a in ([0], []):
+        with pytest.raises(ValueError, match=message):
+            match_into(path_graph(2), a, [1], cap=cap)
 
 
 @given(graphs(max_n=8), st.data())

@@ -221,9 +221,9 @@ def test_tree_theorem_negative_cases():
 
 
 def test_tree_theorem_rejects_bad_input():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^input must be a tree$"):
         verify_tree_theorem(cycle_graph(4))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^tree must have order at least 2$"):
         verify_tree_theorem(complete_graph(1))
 
 
