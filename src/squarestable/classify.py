@@ -447,8 +447,6 @@ def classify(g: Graph, cap=None) -> ClassificationReport:
         witnesses=witnesses,
     )
 
-    if report.very_well_covered and not report.well_covered:
-        raise InternalCheckError("very well-covered graph reported as not well-covered")
     # Square-stability implies well-coveredness, the empty-core property and
     # the failure of alpha_minus -- but only on graphs where every vertex has
     # a neighbour; isolated vertices (and the edgeless graphs they produce)

@@ -18,7 +18,7 @@ import sys
 from typing import Iterator
 
 from .classify import classify
-from .errors import CapExceededError, ParseError
+from .errors import CapExceededError, InternalCheckError, ParseError
 from .generate import (
     EXHAUSTIVE_MAX_N,
     FIXTURE_NAMES,
@@ -438,6 +438,9 @@ def main(argv=None) -> int:
     except CapExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CAP
+    except InternalCheckError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_VIOLATION
     except RecursionError:
         print(f"error: search deeper than the recursion limit ({sys.getrecursionlimit()})",
               file=sys.stderr)

@@ -228,12 +228,9 @@ def parse_edge_list(text: str) -> Graph:
     return Graph.from_edges(n, edges)
 
 
-def format_edge_list(g: Graph, comments: Iterable[str] = ()) -> str:
+def format_edge_list(g: Graph) -> str:
     """Serialise a graph to edge-list text (with an explicit ``n`` header)."""
-    lines = [f"# {c}" for c in comments]
-    lines.append(f"n {g.n}")
-    lines.extend(f"{u} {v}" for u, v in g.edges())
-    return "\n".join(lines) + "\n"
+    return f"n {g.n}\n" + "".join(f"{u} {v}\n" for u, v in g.edges())
 
 
 _G6_HEADER = ">>graph6<<"

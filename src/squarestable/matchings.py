@@ -162,8 +162,6 @@ def unique_perfect_matching(g: Graph) -> tuple[PerfectMatchingStatus, Optional[M
 
 def count_perfect_matchings(g: Graph, cap: int = 2) -> int:
     """Number of perfect matchings, saturated at ``cap``."""
-    if g.n % 2:
-        return 0
     full = g.full_mask()
     return _count_matchings_into(g, full, full, cap)[0]
 
@@ -217,6 +215,8 @@ def _count_matchings_into(g: Graph, amask: int, smask: int, cap: int):
     these are the perfect matchings of the subgraph that mask induces."""
     if cap < 1:
         raise ValueError(f"cap must be at least 1, got {cap}")
+    if amask == smask and amask.bit_count() % 2:
+        return 0, None
     witness: Optional[frozenset] = None
 
     def rec(free: int, acc: list[tuple[int, int]]) -> int:

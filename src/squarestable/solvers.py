@@ -409,16 +409,11 @@ def _cover(g: Graph) -> tuple[int, ...]:
     n, full = g.n, g.full_mask()
     adj = tuple(full & ~m & ~(1 << v) for v, m in enumerate(g.adj))
     lower = _maximum(g).bit_count()
-    # a greedy clique goes first in the greedy colouring's order
-    order_by_degree = sorted(range(n), key=lambda v: (-adj[v].bit_count(), v))
-    cmask = 0
-    for v in order_by_degree:
-        if cmask & ~adj[v] == 0:
-            cmask |= 1 << v
 
-    # greedy colouring for the initial upper bound
+    # first-fit colouring in decreasing complement degree, ties to the lower
+    # index, for the initial upper bound
     best: list[int] = []
-    for v in sorted(order_by_degree, key=lambda u: not cmask >> u & 1):
+    for v in sorted(range(n), key=lambda v: (-adj[v].bit_count(), v)):
         for i, cl in enumerate(best):
             if cl & adj[v] == 0:
                 best[i] = cl | (1 << v)

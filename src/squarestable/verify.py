@@ -115,7 +115,7 @@ def _all_differences(route, g: Graph, cap, cap_omega) -> bool:
 
 
 def _unique_pm(g: Graph, d: int) -> bool:
-    return d.bit_count() % 2 == 0 and _count_matchings_into(g, d, d, 2)[0] == 1
+    return _count_matchings_into(g, d, d, 2)[0] == 1
 
 
 def _has_pm(g: Graph, d: int) -> bool:
@@ -356,14 +356,11 @@ class GirthReport:
     agree: bool
 
 
-def _is_c7(g: Graph) -> bool:
-    return g.n == 7 and is_connected(g) and all(g.degree(v) == 2 for v in range(g.n))
-
-
 def girth6_applicable(g: Graph) -> bool:
     """Connected, girth at least six (acyclic qualifies), and neither the
-    7-cycle nor the single vertex."""
-    return is_connected(g) and g.n != 1 and not _is_c7(g) and girth(g) >= 6
+    7-cycle (connected and 2-regular on seven vertices) nor one vertex."""
+    return (is_connected(g) and g.n != 1
+            and not (g.n == 7 and all(m.bit_count() == 2 for m in g.adj)) and girth(g) >= 6)
 
 
 def verify_girth6(g: Graph, cap=None) -> Optional[GirthReport]:
@@ -499,9 +496,9 @@ def run_suite(
 
     Results are deterministic: the corpus is materialised and sorted by
     (order, graph_id) before checking, and each graph goes through the
-    selected suites in the order of ``SUITE_NAMES``.  In strict mode a
-    solver-cap refusal propagates; otherwise the graph counts as skipped for
-    that suite.  An unknown suite, or one named twice, raises ``ValueError``.
+    selected suites in the order of ``SUITE_NAMES``.  In strict mode a cap
+    refusal propagates, the solver cap's before any suite runs; otherwise the
+    suite skips the graph.  Unknown or repeated suites raise ``ValueError``.
     """
     chosen = list(suites)
     for i, name in enumerate(chosen):
@@ -513,6 +510,8 @@ def run_suite(
     results = {name: SuiteResult(name) for name in SUITE_NAMES if name in chosen}
 
     for gid, g in corpus:
+        if strict:
+            _check_cap(g.n, cap)
         for name, res in results.items():
             try:
                 outcome = _SUITES[name](gid, g, cap, cap_omega)

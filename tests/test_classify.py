@@ -440,6 +440,23 @@ def test_property_p1_precondition():
             prop(path_graph(4), {0, 1})
 
 
+def test_the_witness_and_the_exchange_properties_honour_the_solver_cap():
+    # the corona of C5 is square-stable, and its pendants are a maximum stable set
+    g, pendants = corona_with_k1(cycle_graph(5)), {5, 6, 7, 8, 9}
+    message = r"^exact solver cap exceeded \(10 > 9\)$"
+    with pytest.raises(CapExceededError, match=message):
+        square_stable_witness(g, cap=9)
+    with pytest.raises(CapExceededError, match=message):
+        property_p1(g, pendants, cap=9)
+    with pytest.raises(CapExceededError, match=message):
+        property_p2(g, pendants, cap=9)
+    with pytest.raises(CapExceededError, match=message):
+        p2_exchangeability(g, pendants, cap=9)
+    assert len(square_stable_witness(g, cap=10)) == 5
+    assert property_p1(g, pendants, cap=10) and property_p2(g, pendants, cap=10)
+    assert p2_exchangeability(g, pendants, cap=10)
+
+
 def test_property_p2_examples():
     assert property_p2(path_graph(4), {0, 3})
     # {0,2} is maximum but the middle vertex has both its neighbours in it

@@ -7,6 +7,7 @@ import time
 from pathlib import Path
 
 from squarestable import cli, graphs, solvers
+from squarestable.errors import InternalCheckError
 from squarestable.generate import (
     canonical_graph6,
     corona_with_k1,
@@ -51,6 +52,17 @@ def test_analyze_fixture_edges(capsys, tmp_path):
     doc = analyze_json(capsys, "analyze", str(path), "--format", "edges")
     assert doc["classification"]["alpha_plus_class"] == "PLUS_1"
     assert doc["classification"]["koenig_egervary"] is True
+
+
+def test_analyze_internal_check_failure_is_a_violation(capsys, tmp_path, monkeypatch):
+    # exit 1 with the message, not a traceback
+    def planted(g, cap=None):
+        raise InternalCheckError("planted")
+
+    monkeypatch.setattr(cli, "classify", planted)
+    path = tmp_path / "g.g6"
+    path.write_text("Dhc\n")
+    assert run_cli(capsys, "analyze", str(path)) == (1, "", "error: planted\n")
 
 
 def test_analyze_empty_input_is_an_error(capsys, tmp_path):
@@ -383,6 +395,12 @@ def test_verify_strict_cap_exit_3(capsys):
         capsys, "verify", "--family", "cycle", "26", "--strict",
         "--suite", "matroid")
     assert code == 3 and "cap" in err
+    # the equivalences and implications read a refused statement as null, so
+    # strict refuses a graph above the solver cap before its suites
+    for suite in ("equivalences", "implications"):
+        assert run_cli(capsys, "verify", "--family", "path", "10", "--cap-n", "5",
+                       "--strict", "--suite", suite) == (
+            3, "", "error: exact solver cap exceeded (10 > 5)\n")
 
 
 def test_verify_corona_family(capsys):

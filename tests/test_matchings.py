@@ -246,8 +246,9 @@ def test_matching_counters_refuse_caps_below_one(cap):
     # a cap below 1 could only report a count of 0 beside a witness, or a
     # count above the cap
     message = f"^cap must be at least 1, got {cap}$"
-    with pytest.raises(ValueError, match=message):
-        count_perfect_matchings(cycle_graph(4), cap=cap)
+    for n in (3, 4):
+        with pytest.raises(ValueError, match=message):
+            count_perfect_matchings(cycle_graph(n), cap=cap)
     for a in ([0], []):
         with pytest.raises(ValueError, match=message):
             match_into(path_graph(2), a, [1], cap=cap)

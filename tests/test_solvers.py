@@ -479,15 +479,9 @@ def _dsatur_cover(g: Graph) -> list[frozenset[int]]:
         return []
     full = g.full_mask()
     adj = tuple(full & ~m & ~(1 << v) for v, m in enumerate(g.adj))
-    order_by_degree = sorted(range(n), key=lambda v: (-adj[v].bit_count(), v))
-    clique, cmask = [], 0
-    for v in order_by_degree:
-        if cmask & ~adj[v] == 0:
-            clique.append(v)
-            cmask |= 1 << v
-    lower = len(clique)
+    lower = stability_number(g)
     best: list[int] = []
-    for v in clique + [v for v in order_by_degree if not cmask >> v & 1]:
+    for v in sorted(range(n), key=lambda v: (-adj[v].bit_count(), v)):
         for i, cl in enumerate(best):
             if cl & adj[v] == 0:
                 best[i] = cl | (1 << v)
@@ -495,8 +489,6 @@ def _dsatur_cover(g: Graph) -> list[frozenset[int]]:
         else:
             best.append(1 << v)
     best_k = len(best)
-    if best_k > lower:
-        lower = stability_number(g)
     classes: list[int] = []
     reach: list[int] = []
 
@@ -786,6 +778,9 @@ def test_solver_cap_refusal():
     g = path_graph(6)
     with pytest.raises(CapExceededError, match="exact solver cap"):
         stability_number(g, cap=5)
+    with pytest.raises(CapExceededError, match=r"^exact solver cap exceeded \(6 > 5\)$"):
+        clique_cover(g, cap=5)
+    assert len(clique_cover(g, cap=6)) == 3
     with pytest.raises(CapExceededError, match="enumeration cap"):
         enumerate_maximum_stable_sets(g, cap=5)
     # refusal is an exception, not an empty family

@@ -1,5 +1,5 @@
-"""Checks on the package's own source: no import goes unused and no private
-helper is left without a caller."""
+"""Checks on the package's own source: no import goes unused, no private
+helper is left without a caller, and no defaulted parameter goes unpassed."""
 
 import ast
 from pathlib import Path
@@ -7,6 +7,7 @@ from pathlib import Path
 import squarestable
 
 SRC = Path(squarestable.__file__).resolve().parent
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def _modules() -> dict[str, ast.Module]:
@@ -64,6 +65,55 @@ def dead_helpers(modules: dict[str, ast.Module]) -> list[str]:
     return out
 
 
+def uncalled_defaults(modules: dict[str, ast.Module], callers) -> list[str]:
+    """Each defaulted parameter of a function in ``modules`` that no call in
+    the ``callers`` trees passes, by position or by keyword, as
+    ``module: function(parameter)``.  Calls are matched by the function's
+    name; one with ``*args`` passes every positional parameter, and one with
+    ``**kwargs`` every parameter."""
+    calls = {}
+    for tree in callers:
+        for sub in ast.walk(tree):
+            if isinstance(sub, ast.Call):
+                func = sub.func
+                key = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                calls.setdefault(key, []).append(sub)
+    out = []
+    for name, tree in modules.items():
+        methods = {id(f) for c in ast.walk(tree) if isinstance(c, ast.ClassDef) for f in c.body}
+        for fn in ast.walk(tree):
+            if not isinstance(fn, ast.FunctionDef):
+                continue
+            args = fn.args
+            positional = args.posonlyargs + args.args
+            # a call of a method does not pass its self
+            shift = int(id(fn) in methods and not any(
+                getattr(d, "id", None) == "staticmethod" for d in fn.decorator_list))
+            first = len(positional) - len(args.defaults)
+            defaulted = [(i - shift, p.arg) for i, p in enumerate(positional) if i >= first]
+            defaulted += [(None, p.arg) for p, d in zip(args.kwonlyargs, args.kw_defaults)
+                          if d is not None]
+            for index, param in defaulted:
+                if not any(_passes(call, index, param) for call in calls.get(fn.name, ())):
+                    out.append(f"{name}: {fn.name}({param})")
+    return out
+
+
+def _passes(call: ast.Call, index, param: str) -> bool:
+    """Whether ``call`` passes ``param``, by keyword or at the positional
+    ``index`` (``None`` for a keyword-only parameter)."""
+    if any(k.arg in (param, None) for k in call.keywords):
+        return True
+    return index is not None and (len(call.args) > index
+                                  or any(isinstance(a, ast.Starred) for a in call.args))
+
+
+def _callers(modules: dict[str, ast.Module]) -> list[ast.Module]:
+    """The package's modules, the tests and the demos."""
+    paths = [*sorted((ROOT / "tests").glob("*.py")), *sorted((ROOT / "demos").glob("*.py"))]
+    return [*modules.values(), *(ast.parse(p.read_text(), str(p)) for p in paths)]
+
+
 def test_no_module_imports_a_name_it_never_uses():
     assert unused_imports(_modules()) == []
 
@@ -72,10 +122,17 @@ def test_every_private_helper_has_a_caller():
     assert dead_helpers(_modules()) == []
 
 
+def test_every_defaulted_parameter_has_a_caller():
+    modules = _modules()
+    assert uncalled_defaults(modules, _callers(modules)) == []
+
+
 def test_the_checks_catch_a_planted_fault():
     planted = dict(_modules())
     planted["planted.py"] = ast.parse(
         "from .graphs import Graph, square\n\n"
-        "def _orphan(g: Graph) -> int:\n    return _orphan(g)\n")
+        "def _orphan(g: Graph, first=0, cap=None, *, strict=False) -> int:\n"
+        "    return _orphan(g, 1, strict=True)\n")
     assert unused_imports(planted) == ["planted.py: square"]
     assert dead_helpers(planted) == ["planted.py: _orphan"]
+    assert uncalled_defaults(planted, _callers(planted)) == ["planted.py: _orphan(cap)"]
