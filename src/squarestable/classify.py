@@ -121,19 +121,20 @@ def is_well_covered(g: Graph, cap=None) -> bool:
 def well_covered_counterexample(g: Graph, cap=None):
     """Why a graph fails to be well-covered.
 
-    Returns ``("isolated_vertex", v)`` for the smallest isolated vertex, or
-    ``("non_maximum_maximal", s)`` for the lexicographically smallest
-    non-maximum maximal stable set, or ``None`` when well-covered.
+    Returns ``{"isolated_vertex": v}`` for the smallest isolated vertex, or
+    ``{"non_maximum_maximal": members}`` for the lexicographically smallest
+    non-maximum maximal stable set, its members ascending, or ``None`` when
+    well-covered.
     """
     if 0 in g.adj:
-        return ("isolated_vertex", g.adj.index(0))
+        return {"isolated_vertex": g.adj.index(0)}
     alpha = stability_number(g, cap)
     if independent_domination_number(g, cap) == alpha:
         return None
-    return ("non_maximum_maximal", _least_small_maximal_stable_set(g, alpha))
+    return {"non_maximum_maximal": _least_small_maximal_stable_set(g, alpha)}
 
 
-def _least_small_maximal_stable_set(g: Graph, alpha: int) -> frozenset[int]:
+def _least_small_maximal_stable_set(g: Graph, alpha: int) -> list[int]:
     # Depth-first over stable sets built as increasing vertex lists, children
     # in increasing order, so the first maximal set reached is the least.  A
     # node is cut when a vertex below its last member that no member
@@ -163,7 +164,7 @@ def _least_small_maximal_stable_set(g: Graph, alpha: int) -> frozenset[int]:
     full = g.full_mask()
     if not rec(full, full):
         raise InternalCheckError("no maximal stable set below alpha, though idom < alpha")
-    return frozenset(chosen)
+    return chosen
 
 
 def is_very_well_covered(g: Graph, cap=None) -> bool:
@@ -420,11 +421,7 @@ def classify(g: Graph, cap=None) -> ClassificationReport:
         witnesses["square_stable_distance3_set"] = bit_indices(
             _least_maximum_stable_set(square(g)))
     if not wc:
-        kind, evidence = well_covered_counterexample(g, cap)
-        witnesses["well_covered_failure"] = (
-            {"isolated_vertex": evidence} if kind == "isolated_vertex"
-            else {"non_maximum_maximal": sorted(evidence)}
-        )
+        witnesses["well_covered_failure"] = well_covered_counterexample(g, cap)
     ppm = pendant_perfect_matching(g)
     if ppm is not None:
         witnesses["pendant_perfect_matching"] = sorted(ppm)

@@ -56,17 +56,8 @@ EXIT_PIPE = 141  # 128 + SIGPIPE
 
 
 def _check_caps(args) -> None:
-    """Refuse a cap below 0, naming the flag or variable that set it, and fill
-    in the solver cap from SQSTABLE_CAP_N if it is set."""
-    source = "--cap-n"
-    env = os.environ.get("SQSTABLE_CAP_N")
-    if args.cap_n is None and env is not None:
-        source = "SQSTABLE_CAP_N"
-        try:
-            args.cap_n = int(env)
-        except ValueError:
-            raise ParseError(f"SQSTABLE_CAP_N must be an integer, got {env!r}") from None
-    for name, cap in ((source, args.cap_n), ("--cap-omega", args.cap_omega)):
+    """Refuse a cap below 0, naming the flag that set it."""
+    for name, cap in (("--cap-n", args.cap_n), ("--cap-omega", args.cap_omega)):
         if cap is not None and cap < 0:
             raise ParseError(f"{name} must be at least 0, got {cap}")
 
@@ -416,8 +407,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     pc = sub.add_parser("canonical", help="canonical graph6 form of input graphs")
     pc.add_argument("input", nargs="?", default="-")
-    # no cap flags: the solver cap is SQSTABLE_CAP_N or its default
-    pc.set_defaults(fn=cmd_canonical, cap_n=None, cap_omega=None)
+    pc.add_argument("--cap-n", type=int, default=None, dest="cap_n")
+    pc.set_defaults(fn=cmd_canonical, cap_omega=None)
 
     return parser
 

@@ -148,8 +148,6 @@ def unique_perfect_matching(g: Graph) -> tuple[PerfectMatchingStatus, Optional[M
     avoid at least one of its edges, so uniqueness reduces to re-solving with
     each matched edge deleted in turn.
     """
-    if g.n % 2:
-        return PerfectMatchingStatus.NONE, None
     m = maximum_matching(g)
     if 2 * len(m) < g.n:
         return PerfectMatchingStatus.NONE, None

@@ -123,14 +123,13 @@ def test_well_covered_examples():
     assert is_well_covered(cycle_graph(5))
     assert is_well_covered(cycle_graph(4))
     assert not is_well_covered(path_graph(3))
-    kind, evidence = well_covered_counterexample(path_graph(3))
-    assert kind == "non_maximum_maximal" and evidence == {1}
+    assert well_covered_counterexample(path_graph(3)) == {"non_maximum_maximal": [1]}
 
 
 def test_well_covered_isolated_vertex_reported_distinctly():
     g = Graph.from_edges(3, [(0, 1)])
     assert not is_well_covered(g)
-    assert well_covered_counterexample(g) == ("isolated_vertex", 2)
+    assert well_covered_counterexample(g) == {"isolated_vertex": 2}
     assert not is_well_covered(complete_graph(1))
 
 
@@ -139,10 +138,10 @@ def _counterexample_by_enumeration(g):
     # order, that is smaller than the largest
     iso = [v for v in range(g.n) if not g.adj[v]]
     if iso:
-        return ("isolated_vertex", min(iso))
+        return {"isolated_vertex": min(iso)}
     sets = maximal_stable_sets(g)
     alpha = max(len(s) for s in sets)
-    return next((("non_maximum_maximal", s) for s in sets if len(s) < alpha), None)
+    return next(({"non_maximum_maximal": sorted(s)} for s in sets if len(s) < alpha), None)
 
 
 def test_well_covered_counterexample_matches_the_enumeration_route():
@@ -153,7 +152,7 @@ def test_well_covered_counterexample_matches_the_enumeration_route():
             expected = _counterexample_by_enumeration(h)
             assert well_covered_counterexample(h, 28) == expected, h
             assert is_well_covered(h, 28) == (expected is None), h
-            kind = expected and expected[0]
+            kind = expected and next(iter(expected))
             kinds[kind] = kinds.get(kind, 0) + 1
     assert min(kinds.values()) > 100, kinds  # each outcome is well represented
 
@@ -162,15 +161,15 @@ def test_well_covered_checks_the_solver_cap_after_isolated_vertices():
     # 30 vertices: over the enumeration cap, which well-coveredness does not read
     g = cycle_graph(30)
     assert is_well_covered(g) is False
-    kind, evidence = well_covered_counterexample(g)
-    assert kind == "non_maximum_maximal" and len(evidence) < 15
-    assert evidence in maximal_stable_sets(g)
+    evidence = well_covered_counterexample(g)["non_maximum_maximal"]
+    assert len(evidence) < 15
+    assert frozenset(evidence) in maximal_stable_sets(g)
     for predicate in (is_well_covered, well_covered_counterexample):
         with pytest.raises(CapExceededError, match=r"exact solver cap exceeded \(30 > 29\)"):
             predicate(g, cap=29)
     isolated = Graph.from_edges(30, [(u, u + 1) for u in range(28)])
     assert is_well_covered(isolated, cap=29) is False
-    assert well_covered_counterexample(isolated, cap=29) == ("isolated_vertex", 29)
+    assert well_covered_counterexample(isolated, cap=29) == {"isolated_vertex": 29}
 
 
 def test_very_well_covered_examples():

@@ -6,7 +6,7 @@ import sys
 import time
 from pathlib import Path
 
-from squarestable import cli, graphs, solvers
+from squarestable import cli, graphs, solvers, verify
 from squarestable.errors import InternalCheckError
 from squarestable.generate import (
     canonical_graph6,
@@ -145,9 +145,9 @@ def test_searches_deeper_than_the_recursion_limit_exit_3():
                             (["verify", "--family", "cycle", "2100", "--suite", "chain",
                               "--strict"], "", "")):
         proc = subprocess.run(
-            [sys.executable, "-m", "squarestable", *argv], input=text,
+            [sys.executable, "-m", "squarestable", *argv, "--cap-n", "3000"], input=text,
             capture_output=True, text=True, timeout=60,
-            env=dict(os.environ, PYTHONPATH=str(src), SQSTABLE_CAP_N="3000"),
+            env=dict(os.environ, PYTHONPATH=str(src)),
         )
         assert (proc.returncode, proc.stdout) == (3, out), argv
         assert re.fullmatch(r"error: search deeper than the recursion limit \(\d+\)\n",
@@ -196,14 +196,24 @@ def test_analyze_answers_on_coronas(capsys, tmp_path):
 
 
 def test_analyze_env_cap(capsys, tmp_path, monkeypatch):
+    # the solver cap comes from --cap-n alone: the environment is not read
     path = tmp_path / "c12.g6"
     path.write_text(to_graph6(cycle_graph(12)) + "\n")
+    plain = run_cli(capsys, "analyze", str(path))
+    assert plain[0] == 0
     monkeypatch.setenv("SQSTABLE_CAP_N", "5")
-    code, out, err = run_cli(capsys, "analyze", str(path))
-    assert code == 3
+    assert run_cli(capsys, "analyze", str(path)) == plain
+    assert run_cli(capsys, "analyze", "--cap-n", "5", str(path)) == (
+        3, "", "error: exact solver cap exceeded (12 > 5)\n")
 
 
-def test_negative_caps_are_input_errors(capsys, tmp_path, monkeypatch):
+def test_every_searching_command_takes_cap_n():
+    parser = cli._build_parser()
+    for command in ("analyze", "verify", "canonical"):
+        assert parser.parse_args([command, "--cap-n", "7"]).cap_n == 7, command
+
+
+def test_negative_caps_are_input_errors(capsys, tmp_path):
     path = tmp_path / "c5.g6"
     path.write_text(to_graph6(cycle_graph(5)) + "\n")
     family = ("verify", "--family", "cycle", "5")
@@ -213,16 +223,11 @@ def test_negative_caps_are_input_errors(capsys, tmp_path, monkeypatch):
          "--cap-omega must be at least 0, got -2"),
         (family + ("--cap-n", "-3"), "--cap-n must be at least 0, got -3"),
         (family + ("--cap-omega", "-1"), "--cap-omega must be at least 0, got -1"),
+        (("canonical", "--cap-n", "-1", str(path)), "--cap-n must be at least 0, got -1"),
     ]
     for argv, message in cases:
         assert run_cli(capsys, *argv) == (2, "", f"error: {message}\n"), argv
-    for env, message in (("-2", "must be at least 0, got -2"),
-                         ("many", "must be an integer, got 'many'")):
-        monkeypatch.setenv("SQSTABLE_CAP_N", env)
-        for argv in (("analyze", str(path)), family):
-            assert run_cli(capsys, *argv) == (
-                2, "", f"error: SQSTABLE_CAP_N {message}\n"), argv
-    # a flag overrides the variable, and a cap of 0 refuses every vertex
+    # a cap of 0 refuses every vertex
     assert run_cli(capsys, "analyze", "--cap-n", "0", str(path)) == (
         3, "", "error: exact solver cap exceeded (5 > 0)\n")
 
@@ -415,10 +420,23 @@ def test_verify_corona_family(capsys):
     assert code == 2 and "--family corona requires --corona-base FAMILY PARAMS..." in err
 
 
-def test_verify_text_table(capsys):
+def test_verify_text_table(capsys, monkeypatch):
     code, out, err = run_cli(capsys, "verify", "--fixtures", "--text")
     assert code == 0
     assert "suite" in out and "violations" in out and "equivalences" in out
+
+    # each violation is listed under the table, in the report's order
+    def planted(g, cap=None):
+        raise InternalCheckError("planted")
+
+    monkeypatch.setattr(verify, "invariant_chain", planted)
+    code, out, err = run_cli(capsys, "verify", "--fixtures", "--text", "--suite", "chain")
+    assert code == 1
+    assert [line for line in out.splitlines() if line.startswith("VIOLATION")] == [
+        f"VIOLATION chain: {{'graph_id': '{gid}', 'clause': 'inequality_chain', "
+        f"'witness': 'planted'}}"
+        for gid in ("diamond", "k3_plus_e", "fig_ss_not_vwc", "fig_bip_vwc_not_ss",
+                    "fig_upm_not_pendant")]
 
 
 def test_verify_determinism(capsys):
@@ -605,10 +623,9 @@ def test_canonical_command(capsys, tmp_path):
     assert lines[0] == lines[1]
 
 
-def test_canonical_refuses_graphs_over_the_solver_cap(capsys, tmp_path, monkeypatch):
+def test_canonical_refuses_graphs_over_the_solver_cap(capsys, tmp_path):
     # the search recurses once per vertex; the lines before a refused one
     # are still answered
-    monkeypatch.delenv("SQSTABLE_CAP_N", raising=False)
     path = tmp_path / "in.g6"
     path.write_text("Dhc\n" + to_graph6(Graph(1200, (0,) * 1200)) + "\n")
     assert run_cli(capsys, "canonical", str(path)) == (
@@ -617,8 +634,7 @@ def test_canonical_refuses_graphs_over_the_solver_cap(capsys, tmp_path, monkeypa
     edgeless = to_graph6(Graph(64, (0,) * 64))
     path.write_text(edgeless + "\n")
     assert run_cli(capsys, "canonical", str(path)) == (0, edgeless + "\n", "")
-    monkeypatch.setenv("SQSTABLE_CAP_N", "63")
-    assert run_cli(capsys, "canonical", str(path)) == (
+    assert run_cli(capsys, "canonical", "--cap-n", "63", str(path)) == (
         3, "", "error: exact solver cap exceeded (64 > 63)\n")
 
 

@@ -1,5 +1,6 @@
 """Checks on the package's own source: no import goes unused, no private
-helper is left without a caller, and no defaulted parameter goes unpassed."""
+helper is left without a caller, no defaulted parameter goes unpassed, and
+nothing reads the process environment."""
 
 import ast
 from pathlib import Path
@@ -108,6 +109,15 @@ def _passes(call: ast.Call, index, param: str) -> bool:
                                   or any(isinstance(a, ast.Starred) for a in call.args))
 
 
+def environment_reads(modules: dict[str, ast.Module]) -> list[str]:
+    """Each reference to the process environment, ``environ``, ``getenv``
+    or ``putenv``, as ``module: name``: every setting comes from the
+    command line."""
+    env = {"environ", "getenv", "putenv"}
+    return [f"{name}: {ref}" for name, tree in modules.items()
+            for ref in sorted(_referenced([tree]) & env)]
+
+
 def _callers(modules: dict[str, ast.Module]) -> list[ast.Module]:
     """The package's modules, the tests and the demos."""
     paths = [*sorted((ROOT / "tests").glob("*.py")), *sorted((ROOT / "demos").glob("*.py"))]
@@ -127,12 +137,18 @@ def test_every_defaulted_parameter_has_a_caller():
     assert uncalled_defaults(modules, _callers(modules)) == []
 
 
+def test_no_module_reads_the_environment():
+    assert environment_reads(_modules()) == []
+
+
 def test_the_checks_catch_a_planted_fault():
     planted = dict(_modules())
     planted["planted.py"] = ast.parse(
+        "import os\n"
         "from .graphs import Graph, square\n\n"
         "def _orphan(g: Graph, first=0, cap=None, *, strict=False) -> int:\n"
-        "    return _orphan(g, 1, strict=True)\n")
+        "    return _orphan(g, 1, strict=os.environ.get('STRICT'))\n")
     assert unused_imports(planted) == ["planted.py: square"]
     assert dead_helpers(planted) == ["planted.py: _orphan"]
     assert uncalled_defaults(planted, _callers(planted)) == ["planted.py: _orphan(cap)"]
+    assert environment_reads(planted) == ["planted.py: environ"]
