@@ -15,7 +15,7 @@ from squarestable import (
     named_fixture,
     path_graph,
     property_p1,
-    verify_equivalences,
+    run_suite,
 )
 
 print("All thirteen statements on three graphs")
@@ -25,14 +25,17 @@ examples = [
     ("C5 (not)", cycle_graph(5)),
     ("K6 (trivially)", complete_graph(6)),
 ]
-reports = [(name, verify_equivalences(g)) for name, g in examples]
-header = " ".join(f"{name.split()[0]:>5}" for name, _ in reports)
+# run_suite sorts its corpus by order, so each record is found by its id
+suite = run_suite(examples, ("equivalences",), keep_details=True).suites[0]
+records = {d["graph_id"]: d for d in suite.details}
+reports = [records[name] for name, _ in examples]
+header = " ".join(f"{name.split()[0]:>5}" for name, _ in examples)
 print(f"{'statement':<38} {header}")
-for i, statement in enumerate(STATEMENT_NAMES):
-    row = " ".join(f"{str(r.statements[i]):>5}" for _, r in reports)
+for statement in STATEMENT_NAMES:
+    row = " ".join(f"{str(r['statements'][statement]):>5}" for r in reports)
     print(f"{statement:<38} {row}")
-for name, report in reports:
-    assert report.agree
+for report in reports:
+    assert report["agree"]
 
 print()
 print("The unique-matching property, concretely.  In P4 = 0-1-2-3 the set")
@@ -52,5 +55,7 @@ print("property_p1(P4, {0,2}) =", property_p1(path_graph(4), {0, 2}))
 print()
 print("K3+e has a unique perfect matching yet is not square-stable, which is")
 print("why uniqueness of a perfect matching alone proves nothing:")
-report = verify_equivalences(named_fixture("k3_plus_e"))
-print("  statements:", set(report.statements), "- all false, coherently")
+suite = run_suite([("k3_plus_e", named_fixture("k3_plus_e"))], ("equivalences",),
+                  keep_details=True).suites[0]
+report = suite.details[0]
+print("  statements:", set(report["statements"].values()), "- all false, coherently")

@@ -91,13 +91,9 @@ from .solvers import (
 from .verify import (
     STATEMENT_NAMES,
     SUITE_NAMES,
-    EquivalenceReport,
     RunReport,
     SuiteResult,
     run_suite,
-    verify_equivalences,
-    verify_girth6,
-    verify_tree_theorem,
 )
 
 # The submodules bound as a side effect of the imports above are not exported.

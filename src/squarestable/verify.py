@@ -7,7 +7,11 @@ classes, the tree characterisation with its recursive edge structure, the
 girth-at-least-six characterisation, and the matroid dual-route agreement.
 
 The statements and the implication clauses are tables of predicates of a
-graph and its caps, and the suites are a registry that one loop runs.  The
+graph and its caps.  Every suite has one shape: a private function of the
+graph and its caps that returns ``None`` when the suite's hypotheses exclude
+the graph, or else the graph's detail record and its violations.  The suites
+are a registry that one loop, ``run_suite``, runs over a corpus; it is the
+one per-graph entry point, and it adds the graph's id to each record.  The
 predicates share the values of a graph through the solvers' per-graph store,
 so each value is computed once however many of them read it, and they read
 Omega(G) and Omega(G^2) as the stored vertex masks.  A violation names its
@@ -169,18 +173,7 @@ _STATEMENTS = {
 STATEMENT_NAMES = tuple(_STATEMENTS)
 
 
-@dataclass
-class EquivalenceReport:
-    graph_id: str
-    statements: tuple  # one bool (or None when unevaluated) per statement
-    agree: bool
-    failing_pair: Optional[dict] = None
-
-    def as_dict(self) -> dict:
-        return dict(vars(self), statements=dict(zip(STATEMENT_NAMES, self.statements)))
-
-
-def verify_equivalences(g: Graph, cap=None, cap_omega=None, graph_id: str = "") -> EquivalenceReport:
+def _equivalences(g: Graph, cap, cap_omega):
     """Evaluate all thirteen characterisations and report their agreement.
 
     Disconnected graphs are reduced per component: a statement holds for the
@@ -188,21 +181,30 @@ def verify_equivalences(g: Graph, cap=None, cap_omega=None, graph_id: str = "") 
     component results propagate as unevaluated.
     """
     parts = [g] if is_connected(g) else [induced_subgraph(g, c)[0] for c in components(g)]
-    values = [True] * len(STATEMENT_NAMES)
+    values = dict.fromkeys(STATEMENT_NAMES, True)
     for part in parts:
-        for i, statement in enumerate(_STATEMENTS.values()):
+        for name, statement in _STATEMENTS.items():
             v = _attempt(statement, part, cap, cap_omega)
             if v is None:
-                values[i] = None
-            elif values[i] is not None:
-                values[i] = values[i] and v
-    evaluated = [(name, v) for name, v in zip(STATEMENT_NAMES, values) if v is not None]
+                values[name] = None
+            elif values[name] is not None:
+                values[name] = values[name] and v
+    evaluated = [(name, v) for name, v in values.items() if v is not None]
     failing = None
     for name, v in evaluated[1:]:
         if v != evaluated[0][1]:
             failing = {"statements": [evaluated[0][0], name], "values": [evaluated[0][1], v]}
             break
-    return EquivalenceReport(graph_id, tuple(values), failing is None, failing)
+    violations = [] if failing is None else [("equivalence_agreement", failing)]
+    return {"statements": values, "agree": failing is None, "failing_pair": failing}, violations
+
+
+def _chain(g: Graph, cap, cap_omega):
+    try:
+        record = invariant_chain(g, cap)
+    except InternalCheckError as exc:
+        return None, [("inequality_chain", str(exc))]
+    return {"invariants": record.as_dict()}, []
 
 
 # ---------------------------------------------------------------------------
@@ -291,13 +293,11 @@ _CLAUSES = {
 }
 
 
-def implication_clauses(g: Graph, cap=None, cap_omega=None) -> list[tuple]:
-    """Each conditional between the graph classes: (name, holds, witness).
-
-    ``holds`` is ``None`` when the clause's hypotheses exclude the graph or a
-    cap refuses it.  The witness is ``""`` for every clause so far.
-    """
-    return [(name, _attempt(clause, g, cap, cap_omega), "") for name, clause in _CLAUSES.items()]
+def _implications(g: Graph, cap, cap_omega):
+    """Each clause's value: ``None`` when its hypotheses exclude the graph
+    or a cap refuses it.  The witness is ``""`` for every clause so far."""
+    clauses = {name: _attempt(clause, g, cap, cap_omega) for name, clause in _CLAUSES.items()}
+    return {"clauses": clauses}, [(name, "") for name, value in clauses.items() if value is False]
 
 
 # ---------------------------------------------------------------------------
@@ -305,131 +305,66 @@ def implication_clauses(g: Graph, cap=None, cap_omega=None) -> list[tuple]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class TreeReport:
-    statements: tuple  # (well_covered, very_well_covered, pendant_pm, square_stable)
-    agree: bool
-    recursion_edge: Optional[tuple[int, int]]
-    recursion_ok: bool
+def _recursion_edge(t: Graph, cap) -> Optional[tuple[int, int]]:
+    """An edge of the tree ``t`` between two non-pendant vertices whose
+    removal splits off one edge and leaves a well-covered tree, or ``None``."""
+    for u, v in t.edges():
+        if t.degree(u) < 2 or t.degree(v) < 2:
+            continue
+        pruned = t.remove_edge(u, v)
+        first, second = components(pruned)
+        small, rest = (first, second) if len(first) <= len(second) else (second, first)
+        if len(small) != 2:
+            continue
+        sub, _ = induced_subgraph(pruned, rest)
+        if is_well_covered(sub, cap):
+            return u, v
+    return None
 
 
-def verify_tree_theorem(t: Graph, cap=None) -> TreeReport:
-    """The four equivalent statements for trees, plus the recursive edge:
-    a well-covered tree other than a single edge contains an edge between two
-    non-pendant vertices whose removal splits off one edge and leaves a
-    well-covered tree."""
-    if not is_tree(t):
-        raise ValueError("input must be a tree")
-    if t.n < 2:
-        raise ValueError("tree must have order at least 2")
-    wc = is_well_covered(t, cap)
-    statements = (
-        wc,
-        is_very_well_covered(t, cap),
-        pendant_perfect_matching(t) is not None,
-        is_square_stable(t, cap),
-    )
-    agree = len(set(statements)) == 1
-    recursion_edge = None
-    recursion_ok = True
-    if wc and t.n > 2:
-        recursion_ok = False
-        for u, v in t.edges():
-            if t.degree(u) < 2 or t.degree(v) < 2:
-                continue
-            pruned = t.remove_edge(u, v)
-            first, second = components(pruned)
-            small, rest = (first, second) if len(first) <= len(second) else (second, first)
-            if len(small) != 2:
-                continue
-            sub, _ = induced_subgraph(pruned, rest)
-            if is_well_covered(sub, cap):
-                recursion_edge = (u, v)
-                recursion_ok = True
-                break
-    return TreeReport(statements, agree, recursion_edge, recursion_ok)
+def _tree(g: Graph, cap, cap_omega):
+    """The four equivalent statements for trees of order at least 2, plus
+    the recursive edge: a well-covered tree other than a single edge has a
+    ``_recursion_edge``."""
+    if not is_tree(g) or g.n < 2:
+        return None
+    statements = [
+        is_well_covered(g, cap),
+        is_very_well_covered(g, cap),
+        pendant_perfect_matching(g) is not None,
+        is_square_stable(g, cap),
+    ]
+    recurses = statements[0] and g.n > 2
+    edge = _recursion_edge(g, cap) if recurses else None
+    violations = []
+    if len(set(statements)) > 1:
+        violations.append(("tree_equivalence", statements))
+    if recurses and edge is None:
+        violations.append(("tree_recursion_edge", "no qualifying edge"))
+    return {"statements": statements, "recursion_edge": edge}, violations
 
 
-@dataclass
-class GirthReport:
-    statements: tuple
-    agree: bool
-
-
-def girth6_applicable(g: Graph) -> bool:
-    """Connected, girth at least six (acyclic qualifies), and neither the
-    7-cycle (connected and 2-regular on seven vertices) nor one vertex."""
-    return (is_connected(g) and g.n != 1
-            and not (g.n == 7 and all(m.bit_count() == 2 for m in g.adj)) and girth(g) >= 6)
-
-
-def verify_girth6(g: Graph, cap=None) -> Optional[GirthReport]:
-    """Five equivalent statements for qualifying graphs; ``None`` when the
-    hypotheses exclude the graph (that is a skip, not a failure)."""
-    if not girth6_applicable(g):
+def _girth6(g: Graph, cap, cap_omega):
+    """Five equivalent statements for a connected graph of girth at least
+    six (acyclic qualifies) other than the 7-cycle (connected and 2-regular
+    on seven vertices) and one vertex; ``None`` (a skip) for any other."""
+    if not (is_connected(g) and g.n != 1
+            and not (g.n == 7 and all(m.bit_count() == 2 for m in g.adj)) and girth(g) >= 6):
         return None
     ke = is_koenig_egervary(g, cap)
-    statements = (
+    statements = [
         is_well_covered(g, cap),
         pendant_perfect_matching(g) is not None,
         is_very_well_covered(g, cap),
         ke and g.n == 2 * stability_number(g, cap)
         and pendants_contain_maximum_stable_set(g, cap),
         ke and is_square_stable(g, cap),
-    )
-    return GirthReport(statements, len(set(statements)) == 1)
+    ]
+    violations = [] if len(set(statements)) == 1 else [("girth6_equivalence", statements)]
+    return {"statements": statements}, violations
 
 
-# ---------------------------------------------------------------------------
-# Suite runner
-# ---------------------------------------------------------------------------
-
-def _equivalences(gid: str, g: Graph, cap, cap_omega):
-    report = verify_equivalences(g, cap, cap_omega, gid)
-    violations = [] if report.agree else [("equivalence_agreement", report.failing_pair)]
-    return report.as_dict(), violations
-
-
-def _chain(gid: str, g: Graph, cap, cap_omega):
-    try:
-        record = invariant_chain(g, cap)
-    except InternalCheckError as exc:
-        return None, [("inequality_chain", str(exc))]
-    return {"graph_id": gid, "invariants": record.as_dict()}, []
-
-
-def _implications(gid: str, g: Graph, cap, cap_omega):
-    clauses = implication_clauses(g, cap, cap_omega)
-    detail = {"graph_id": gid, "clauses": {name: value for name, value, _ in clauses}}
-    return detail, [(name, witness) for name, value, witness in clauses if value is False]
-
-
-def _tree(gid: str, g: Graph, cap, cap_omega):
-    if not is_tree(g) or g.n < 2:
-        return None
-    report = verify_tree_theorem(g, cap)
-    violations = []
-    if not report.agree:
-        violations.append(("tree_equivalence", list(report.statements)))
-    if not report.recursion_ok:
-        violations.append(("tree_recursion_edge", "no qualifying edge"))
-    detail = {
-        "graph_id": gid,
-        "statements": list(report.statements),
-        "recursion_edge": report.recursion_edge,
-    }
-    return detail, violations
-
-
-def _girth6(gid: str, g: Graph, cap, cap_omega):
-    report = verify_girth6(g, cap)
-    if report is None:
-        return None
-    violations = [] if report.agree else [("girth6_equivalence", list(report.statements))]
-    return {"graph_id": gid, "statements": list(report.statements)}, violations
-
-
-def _matroid(gid: str, g: Graph, cap, cap_omega):
+def _matroid(g: Graph, cap, cap_omega):
     _check_family_caps(g, cap, cap_omega)
     try:
         omega_is_matroid(g, cap_omega)
@@ -438,11 +373,15 @@ def _matroid(gid: str, g: Graph, cap, cap_omega):
     return None, []
 
 
-# Each suite maps (graph_id, graph, cap, cap_omega) to ``None`` when its
-# hypotheses exclude the graph (a skip), or else to the graph's detail record
-# (or ``None``) and its violations as (clause, witness) pairs.  The entries
-# call the checkers through this module's globals, so that rebinding a checker
-# (a test's fake, a tracer's wrapper) reaches every call.
+# ---------------------------------------------------------------------------
+# Suite runner
+# ---------------------------------------------------------------------------
+
+# Each suite maps (graph, cap, cap_omega) to ``None`` when its hypotheses
+# exclude the graph (a skip), or else to the graph's detail record (or
+# ``None``) and its violations as (clause, witness) pairs.  The entries call
+# the checkers and tables through this module's globals, so that rebinding
+# one (a test's fake, a tracer's wrapper) reaches every call.
 _SUITES = {
     "equivalences": _equivalences,
     "chain": _chain,
@@ -514,7 +453,7 @@ def run_suite(
             _check_cap(g.n, cap)
         for name, res in results.items():
             try:
-                outcome = _SUITES[name](gid, g, cap, cap_omega)
+                outcome = _SUITES[name](g, cap, cap_omega)
             except (CapExceededError, RecursionError):
                 if strict:
                     raise
@@ -525,7 +464,7 @@ def run_suite(
             detail, violations = outcome
             res.graphs_checked += 1
             if keep_details and detail is not None:
-                res.details.append(detail)
+                res.details.append({"graph_id": gid, **detail})
             res.violations.extend(
                 {"graph_id": gid, "clause": clause, "witness": witness}
                 for clause, witness in violations

@@ -42,7 +42,7 @@ from squarestable.solvers import (
     independent_domination_number,
     stability_number,
 )
-from squarestable.verify import run_suite, verify_equivalences, verify_tree_theorem, verify_girth6
+from squarestable.verify import run_suite
 from oracles import (
     oracle_alpha,
     oracle_gamma,
@@ -101,8 +101,9 @@ def test_criterion_02_equivalence_coherence(exhaustive7, random_connected_n14):
         report = run_suite(exhaustive7, ("equivalences",))
         assert report.violations_total == 0
         assert report.suites[0].graphs_checked == 996
-        for gid, g in random_connected_n14:
-            assert verify_equivalences(g, graph_id=gid).agree, gid
+        report = run_suite(random_connected_n14, ("equivalences",))
+        assert report.violations_total == 0, report.suites[0].violations[:3]
+        assert report.suites[0].graphs_checked == 150
         assert time.perf_counter() - start < 600.0
 
 
@@ -186,14 +187,17 @@ def test_criterion_06_tree_characterisation():
             for _ in range(250):
                 seq = tuple(rng.randrange(n) for _ in range(n - 2))
                 trees.append(prufer_to_tree(seq, n))
+        items = [(f"{i:05d}-{to_graph6(t)}", t) for i, t in enumerate(trees)]
+        suite = run_suite(items, ("tree",), keep_details=True).suites[0]
+        # a disagreement or a missing recursion edge is a violation
+        assert suite.violations == [], suite.violations[:3]
+        assert suite.graphs_checked == len(trees)
+        order = {gid: t.n for gid, t in items}
         well_covered_seen = 0
-        for t in trees:
-            report = verify_tree_theorem(t)
-            assert report.agree, to_graph6(t)
-            assert report.recursion_ok, to_graph6(t)
-            if report.statements[0] and t.n > 2:
+        for detail in suite.details:
+            if detail["statements"][0] and order[detail["graph_id"]] > 2:
                 well_covered_seen += 1
-                assert report.recursion_edge is not None
+                assert detail["recursion_edge"] is not None
         assert well_covered_seen > 100
 
 
@@ -206,14 +210,9 @@ def test_criterion_07_girth6_suite(exhaustive7, random_connected_n14):
             for _ in range(60):
                 seq = tuple(rng.randrange(n) for _ in range(max(0, n - 2)))
                 extra.append((f"tree-{n}", prufer_to_tree(seq, n)))
-        qualifying = 0
-        for gid, g in exhaustive7 + random_connected_n14 + extra:
-            report = verify_girth6(g)
-            if report is None:
-                continue
-            qualifying += 1
-            assert report.agree, gid
-        assert qualifying > 500
+        suite = run_suite(exhaustive7 + random_connected_n14 + extra, ("girth6",)).suites[0]
+        assert suite.violations == [], suite.violations[:3]
+        assert suite.graphs_checked > 500
 
 
 def test_criterion_08_matroid_routes(exhaustive7):

@@ -1,6 +1,7 @@
 import json
 import random
 
+import networkx
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -19,6 +20,7 @@ from squarestable.graphs import (
     INFINITE,
     Graph,
     bit_indices,
+    components,
     induced_subgraph,
     square,
     stable_subsets,
@@ -38,15 +40,28 @@ from squarestable.verify import (
     _has_pm,
     _induced_pm,
     _unique_pm,
-    girth6_applicable,
-    implication_clauses,
     run_suite,
-    verify_equivalences,
-    verify_girth6,
-    verify_tree_theorem,
 )
-from oracles import oracle_alpha, oracle_distances, oracle_omega
+from oracles import oracle_alpha, oracle_distances, oracle_maximal_stable_sets, oracle_omega
 from strategies import graphs
+
+
+def one_graph(suite, g, cap=None, cap_omega=None, graph_id="g"):
+    """One suite over one graph through ``run_suite``: the graph's detail
+    record (``None`` when the suite skips it or keeps none) and its
+    violations."""
+    result = run_suite([(graph_id, g)], (suite,), cap, cap_omega, keep_details=True).suites[0]
+    return (result.details or [None])[0], result.violations
+
+
+def statements(g, **caps):
+    """The thirteen statements' values on ``g``, in report order."""
+    return tuple(one_graph("equivalences", g, **caps)[0]["statements"].values())
+
+
+def clauses(g, **caps):
+    """The implication clauses' values on ``g``, by name."""
+    return one_graph("implications", g, **caps)[0]["clauses"]
 
 
 # ---------------------------------------------------------------------------
@@ -58,17 +73,17 @@ def test_equivalences_all_true_on_square_stable_graphs():
     for g in (path_graph(4), complete_graph(5), complete_graph(1),
               corona_with_k1(cycle_graph(5)), named_fixture("fig_ss_not_vwc"),
               named_fixture("fig_upm_not_pendant")):
-        report = verify_equivalences(g)
-        assert report.statements == (True,) * 13
-        assert report.agree and report.failing_pair is None
+        detail, violations = one_graph("equivalences", g)
+        assert tuple(detail["statements"].values()) == (True,) * 13
+        assert detail["agree"] and detail["failing_pair"] is None and violations == []
 
 
 def test_equivalences_all_false_on_non_square_stable_graphs():
     for g in (cycle_graph(5), cycle_graph(6), star_graph(3),
               named_fixture("k3_plus_e"), named_fixture("fig_bip_vwc_not_ss")):
-        report = verify_equivalences(g)
-        assert report.statements == (False,) * 13
-        assert report.agree
+        detail, violations = one_graph("equivalences", g)
+        assert tuple(detail["statements"].values()) == (False,) * 13
+        assert detail["agree"] and violations == []
 
 
 def test_equivalences_reduce_per_component():
@@ -76,41 +91,39 @@ def test_equivalences_reduce_per_component():
     p4_plus_c5 = Graph.from_edges(9, path_graph(4).edges() + [
         (u + 4, v + 4) for u, v in cycle_graph(5).edges()
     ])
-    report = verify_equivalences(p4_plus_c5)
-    assert report.statements == (False,) * 13
+    assert statements(p4_plus_c5) == (False,) * 13
     two_p4 = Graph.from_edges(8, path_graph(4).edges() + [
         (u + 4, v + 4) for u, v in path_graph(4).edges()
     ])
-    assert verify_equivalences(two_p4).statements == (True,) * 13
+    assert statements(two_p4) == (True,) * 13
 
 
 def test_equivalence_report_shape():
-    report = verify_equivalences(cycle_graph(5), graph_id="cycle5")
-    d = report.as_dict()
+    d, _ = one_graph("equivalences", cycle_graph(5), graph_id="cycle5")
+    assert list(d) == ["graph_id", "statements", "agree", "failing_pair"]
     assert d["graph_id"] == "cycle5"
     assert set(d["statements"]) == set(STATEMENT_NAMES)
     assert d["agree"] is True
 
 
 def test_equivalences_mark_unevaluated_on_cap():
-    report = verify_equivalences(path_graph(6), cap_omega=5)
-    assert any(v is None for v in report.statements)
+    detail, violations = one_graph("equivalences", path_graph(6), cap_omega=5)
+    assert any(v is None for v in detail["statements"].values())
     # evaluable statements still agree among themselves
-    assert report.agree
+    assert detail["agree"] and violations == []
 
 
 def test_family_searches_are_refused_above_the_solver_cap():
     # C10 lies within the enumeration cap but above the solver cap, which
     # guards every search over Omega as well
     g = cycle_graph(10)
-    report = verify_equivalences(g, cap=5, cap_omega=24)
-    assert dict(zip(STATEMENT_NAMES, report.statements)) == {
+    assert one_graph("equivalences", g, cap=5, cap_omega=24)[0]["statements"] == {
         name: False if name == "simplex_partition" else None for name in STATEMENT_NAMES}
-    clauses = {name: value for name, value, _ in implication_clauses(g, cap=5, cap_omega=24)}
-    assert clauses["square_omega_pairwise_distance3"] is None
-    assert clauses["omega_equality_iff_complete"] is None
+    values = clauses(g, cap=5, cap_omega=24)
+    assert values["square_omega_pairwise_distance3"] is None
+    assert values["omega_equality_iff_complete"] is None
     # no pendant perfect matching: true without reading any cap
-    assert clauses["pendant_matching_forces_square_omega"] is True
+    assert values["pendant_matching_forces_square_omega"] is True
     suite = run_suite([("c10", g)], ("matroid",), cap=5, cap_omega=24).suites[0]
     assert (suite.graphs_checked, suite.skipped) == (0, 1)
 
@@ -159,19 +172,17 @@ def test_implications_hold_on_named_graphs():
     for g in (path_graph(4), cycle_graph(5), cycle_graph(6), complete_graph(1),
               named_fixture("diamond"), named_fixture("fig_bip_vwc_not_ss"),
               corona_with_k1(cycle_graph(5))):
-        for name, value, _ in implication_clauses(g):
+        for name, value in clauses(g).items():
             assert value is not False, name
 
 
 def test_implication_clause_details():
-    clauses = dict(
-        (name, value) for name, value, _ in implication_clauses(corona_with_k1(cycle_graph(5)))
-    )
-    assert clauses["pendant_matching_forces_square_omega"] is True
-    assert clauses["ke_pendant_characterisation"] is True
+    values = clauses(corona_with_k1(cycle_graph(5)))
+    assert values["pendant_matching_forces_square_omega"] is True
+    assert values["ke_pendant_characterisation"] is True
     # diamond is not square-stable: the square-stable implications hold vacuously
-    clauses = dict((n, v) for n, v, _ in implication_clauses(named_fixture("diamond")))
-    assert clauses["square_stable_not_alpha_minus"] is True
+    values = clauses(named_fixture("diamond"))
+    assert values["square_stable_not_alpha_minus"] is True
 
 
 def _distance3_attained_by_definition(g: Graph):
@@ -208,30 +219,70 @@ def test_fig6_square_loses_koenig_egervary():
 
 
 def test_tree_theorem_p4():
-    report = verify_tree_theorem(path_graph(4))
-    assert report.statements == (True, True, True, True)
-    assert report.agree
-    assert report.recursion_edge == (1, 2)
+    detail, violations = one_graph("tree", path_graph(4))
+    assert detail["statements"] == [True, True, True, True]
+    assert violations == []
+    assert detail["recursion_edge"] == (1, 2)
 
 
 def test_tree_theorem_negative_cases():
-    assert verify_tree_theorem(path_graph(6)).statements == (False,) * 4
-    assert verify_tree_theorem(star_graph(3)).statements == (False,) * 4
-    assert verify_tree_theorem(complete_graph(2)).agree
+    assert one_graph("tree", path_graph(6))[0]["statements"] == [False] * 4
+    assert one_graph("tree", star_graph(3))[0]["statements"] == [False] * 4
+    assert one_graph("tree", complete_graph(2))[1] == []
 
 
-def test_tree_theorem_rejects_bad_input():
-    with pytest.raises(ValueError, match="^input must be a tree$"):
-        verify_tree_theorem(cycle_graph(4))
-    with pytest.raises(ValueError, match="^tree must have order at least 2$"):
-        verify_tree_theorem(complete_graph(1))
+def test_suite_hypotheses_skip_rather_than_raise():
+    # a graph outside a suite's hypotheses is counted as skipped, with no
+    # detail record and no violation
+    empty2 = Graph.from_edges(2, [])
+    for suite, excluded in (
+        ("tree", [cycle_graph(4), complete_graph(1), empty2]),
+        # the excluded 7-cycle, one vertex, girth too small, disconnected
+        ("girth6", [cycle_graph(7), complete_graph(1), cycle_graph(5), empty2]),
+    ):
+        items = [(f"g{i}", g) for i, g in enumerate(excluded)]
+        result = run_suite(items, (suite,), keep_details=True).suites[0]
+        assert (result.graphs_checked, result.skipped) == (0, len(excluded)), suite
+        assert result.details == [] and result.violations == [], suite
+
+
+def _well_covered_by_oracle(g: Graph) -> bool:
+    # every maximal stable set has one size, and there is one
+    return len({len(s) for s in oracle_maximal_stable_sets(g)}) == 1
+
+
+def test_recursion_edge_matches_its_definition_on_every_free_tree():
+    # every free tree on 2 to 10 vertices, from networkx as an oracle
+    trees = [Graph.from_edges(t.number_of_nodes(), list(t.edges()))
+             for n in range(2, 11) for t in networkx.nonisomorphic_trees(n)]
+    assert len(trees) == 200
+    items = [(f"{i:03d}", t) for i, t in enumerate(trees)]
+    suite = run_suite(items, ("tree",), keep_details=True).suites[0]
+    assert suite.graphs_checked == len(trees) and suite.violations == []
+    by_id = dict(items)
+    edges = 0
+    for detail in suite.details:
+        t, edge = by_id[detail["graph_id"]], detail["recursion_edge"]
+        if t.n == 2 or not _well_covered_by_oracle(t):
+            assert edge is None, detail
+            continue
+        assert edge is not None, detail
+        edges += 1
+        u, v = edge
+        assert t.has_edge(u, v) and t.degree(u) >= 2 and t.degree(v) >= 2, detail
+        pruned = t.remove_edge(u, v)
+        parts = sorted(components(pruned), key=len)
+        assert len(parts) == 2 and len(parts[0]) == 2, detail
+        assert _well_covered_by_oracle(induced_subgraph(pruned, parts[1])[0]), detail
+    assert edges > 0
 
 
 def test_tree_recursion_edge_on_larger_tree():
     # two stars joined at their centres: a well-covered "double broom"
     t = Graph.from_edges(6, [(0, 1), (0, 2), (1, 3), (2, 4), (4, 5)])
-    if verify_tree_theorem(t).statements[0]:
-        assert verify_tree_theorem(t).recursion_ok
+    detail, violations = one_graph("tree", t)
+    if detail["statements"][0]:
+        assert violations == []
 
 
 # ---------------------------------------------------------------------------
@@ -239,26 +290,19 @@ def test_tree_recursion_edge_on_larger_tree():
 # ---------------------------------------------------------------------------
 
 
-def test_girth6_skips():
-    assert verify_girth6(cycle_graph(7)) is None  # the excluded 7-cycle
-    assert verify_girth6(complete_graph(1)) is None
-    assert verify_girth6(cycle_graph(5)) is None  # girth too small
-    assert not girth6_applicable(Graph.from_edges(2, []))  # disconnected
-
-
 def test_girth6_statements():
-    report = verify_girth6(cycle_graph(6))
-    assert report is not None
-    assert report.statements == (False,) * 5 and report.agree
+    detail, violations = one_graph("girth6", cycle_graph(6))
+    assert detail is not None
+    assert detail["statements"] == [False] * 5 and violations == []
 
-    report = verify_girth6(corona_with_k1(path_graph(3)))
-    assert report.statements == (True,) * 5 and report.agree
+    detail, violations = one_graph("girth6", corona_with_k1(path_graph(3)))
+    assert detail["statements"] == [True] * 5 and violations == []
 
-    report = verify_girth6(path_graph(3))
-    assert report.statements == (False,) * 5 and report.agree
+    detail, violations = one_graph("girth6", path_graph(3))
+    assert detail["statements"] == [False] * 5 and violations == []
 
-    report = verify_girth6(complete_graph(2))
-    assert report.statements == (True,) * 5 and report.agree
+    detail, violations = one_graph("girth6", complete_graph(2))
+    assert detail["statements"] == [True] * 5 and violations == []
 
 
 def test_girth6_on_seeded_trees_and_sparse_graphs():
@@ -267,8 +311,8 @@ def test_girth6_on_seeded_trees_and_sparse_graphs():
 
     for i in range(40):
         t = random_tree(rng.randint(2, 11), seed=rng.randrange(10**6))
-        report = verify_girth6(t)
-        assert report is not None and report.agree
+        detail, violations = one_graph("girth6", t)
+        assert detail is not None and violations == []
 
 
 # ---------------------------------------------------------------------------
@@ -344,21 +388,20 @@ def test_run_suite_records_violations(monkeypatch, capsys):
     def broken(*args, **kwargs):
         raise InternalCheckError("routes disagree")
 
-    def equivalences(g, cap=None, cap_omega=None, graph_id=""):
-        values = (True,) * 12 + (False,)
-        pair = {"statements": [STATEMENT_NAMES[0], STATEMENT_NAMES[12]],
-                "values": [True, False]}
-        return verify.EquivalenceReport(graph_id, values, False, pair)
+    def constant(value):
+        return lambda g, cap, cap_omega: value
 
     monkeypatch.setattr(verify, "invariant_chain", broken)
     monkeypatch.setattr(verify, "omega_is_matroid", broken)
-    monkeypatch.setattr(verify, "verify_equivalences", equivalences)
-    monkeypatch.setattr(verify, "verify_tree_theorem", lambda *a, **k: verify.TreeReport(
-        (True, True, True, False), False, None, False))
-    monkeypatch.setattr(verify, "verify_girth6", lambda g, *a, **k: None if g.n == 3
-                        else verify.GirthReport((True, False), False))
-    monkeypatch.setattr(verify, "implication_clauses", lambda *a, **k: [
-        ("holds", True, ""), ("fails", False, ""), ("excluded", None, "")])
+    # the last statement disagrees with the other twelve
+    monkeypatch.setattr(verify, "_STATEMENTS", {
+        name: constant(name != STATEMENT_NAMES[12]) for name in STATEMENT_NAMES})
+    monkeypatch.setattr(verify, "_CLAUSES", {
+        "holds": constant(True), "fails": constant(False), "excluded": constant(None)})
+    # the tree and girth-6 statements read square-stability last; P4, the one
+    # graph here in both suites' hypotheses, is square-stable
+    monkeypatch.setattr(verify, "is_square_stable", lambda g, cap=None: False)
+    monkeypatch.setattr(verify, "_recursion_edge", lambda t, cap: None)
 
     items = [("c5", cycle_graph(5)), ("p4", path_graph(4)), ("k3", complete_graph(3))]
     report = run_suite(items, SUITE_NAMES).as_dict()
@@ -370,7 +413,7 @@ def test_run_suite_records_violations(monkeypatch, capsys):
     pair = {"statements": [STATEMENT_NAMES[0], STATEMENT_NAMES[12]], "values": [True, False]}
     assert report == {
         "graphs_total": 3,
-        "violations_total": 16,
+        "violations_total": 15,
         "suites": [
             {"suite_name": "equivalences", "graphs_checked": 3, "skipped": 0,
              "violations": records((gid, "equivalence_agreement", pair) for gid in order)},
@@ -382,9 +425,9 @@ def test_run_suite_records_violations(monkeypatch, capsys):
             {"suite_name": "tree", "graphs_checked": 1, "skipped": 2,
              "violations": records([("p4", "tree_equivalence", [True, True, True, False]),
                                     ("p4", "tree_recursion_edge", "no qualifying edge")])},
-            {"suite_name": "girth6", "graphs_checked": 2, "skipped": 1,
-             "violations": records((gid, "girth6_equivalence", [True, False])
-                                   for gid in order[1:])},
+            {"suite_name": "girth6", "graphs_checked": 1, "skipped": 2,
+             "violations": records([("p4", "girth6_equivalence",
+                                     [True, True, True, True, False])])},
             {"suite_name": "matroid", "graphs_checked": 3, "skipped": 0,
              "violations": records((gid, "matroid_routes", "routes disagree")
                                    for gid in order)},
