@@ -299,37 +299,25 @@ def alpha_plus_class(g: Graph, cap=None) -> AlphaPlusClass:
 # ---------------------------------------------------------------------------
 
 
-def p1_unique_matchability(g: Graph, s) -> bool:
-    """True iff every stable set disjoint from ``s`` has exactly one matching
-    into ``s``.
-
-    ``s`` need not be a maximum stable set.  Evaluated by the direct
-    criterion: every outside vertex has exactly one neighbour in ``s``, and
-    the outside neighbours of each member of ``s`` are pairwise adjacent.
-    """
-    return _p1(g, _vertex_mask(g.n, s))
-
-
 def _p1(g: Graph, smask: int) -> bool:
+    """True iff every stable set disjoint from the mask ``smask`` has exactly
+    one matching into it: every outside vertex has exactly one neighbour in
+    it, and the outside neighbours of each member are pairwise adjacent."""
     outside = g.full_mask() & ~smask
     return all((g.adj[v] & smask).bit_count() == 1 for v in bit_indices(outside)) and all(
         _is_clique_mask(g.adj, g.adj[u] & outside) for u in bit_indices(smask))
 
 
-def p2_exchangeability(g: Graph, s, cap=None) -> bool:
-    """True iff every non-empty stable set A disjoint from the stable set
-    ``s`` extends by part of ``s`` to a maximum stable set; a non-stable
-    ``s`` raises ``ValueError``.
+def _p2(g: Graph, smask: int, cap) -> bool:
+    """True iff every non-empty stable set A disjoint from the stable mask
+    ``smask`` extends by part of it to a maximum stable set; a non-stable
+    mask raises ``ValueError``.
 
     That part misses N(A), so A extends exactly when |A| - |N(A) & s| >=
     alpha - |s|: for A = {v}, when v has at most k = |s| + 1 - alpha
-    neighbours in ``s``.  As k <= 1, these bounds add up to |N(A) & s| <=
+    neighbours in s.  As k <= 1, these bounds add up to |N(A) & s| <=
     k |A| <= |A| - 1 + k, so the singletons decide every A.
     """
-    return _p2(g, _vertex_mask(g.n, s), cap)
-
-
-def _p2(g: Graph, smask: int, cap) -> bool:
     if _reach(g.adj, smask) & smask:
         raise ValueError("s must be a stable set")
     k = smask.bit_count() + 1 - stability_number(g, cap)

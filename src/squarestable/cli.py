@@ -15,7 +15,7 @@ import functools
 import json
 import os
 import sys
-from typing import Iterator
+from typing import Iterable, Iterator
 
 from .classify import classify
 from .errors import CapExceededError, InternalCheckError, ParseError
@@ -222,10 +222,12 @@ def _given(value) -> bool:
     return value is not None and value is not False
 
 
-def _corpus_from_args(args) -> tuple[list[tuple[str, Graph]], dict, bool]:
-    """Build (graph_id, graph) pairs, corpus metadata, and whether per-graph
-    details belong in the report.  An option the chosen corpus does not read
-    is refused, naming it."""
+def _corpus_from_args(args) -> tuple[Iterable[tuple[str, Graph]], dict, bool]:
+    """Build (graph_id, graph) pairs in report order (by order, then by
+    graph id), corpus metadata, and whether per-graph details belong in the
+    report.  The exhaustive corpus is generated in that order and streams;
+    the fixtures and the sample are sorted.  An option the chosen corpus
+    does not read is refused, naming it."""
     for corpus, reads in _CORPUS_OPTIONS.items():
         if not _given(getattr(args, corpus)):
             continue
@@ -246,9 +248,10 @@ def _corpus_from_args(args) -> tuple[list[tuple[str, Graph]], dict, bool]:
             "max_n": args.exhaustive,
             "connected_only": not args.include_disconnected,
         }
+        return ((to_graph6(g), g) for g in graphs), meta, False
     elif args.fixtures:
         items = [(name, named_fixture(name)) for name in FIXTURE_NAMES]
-        return items, {"mode": "fixtures"}, True
+        meta, details = {"mode": "fixtures"}, True
     elif args.family:
         g = _family_graph(args.family, args.seed, args.corona_base, "--corona-base",
                           "--family corona requires --corona-base FAMILY PARAMS...")
@@ -266,15 +269,17 @@ def _corpus_from_args(args) -> tuple[list[tuple[str, Graph]], dict, bool]:
         if args.max_n < 1:
             raise ParseError(f"--max-n must be at least 1, got {args.max_n}")
         graphs = sample_corpus(args.sample, args.max_n, args.seed, not args.include_disconnected)
+        items = ((to_graph6(g), g) for g in graphs)
         meta = {
             "mode": "sample",
             "count": args.sample,
             "max_n": args.max_n,
             "seed": args.seed,
         }
+        details = False
     else:
         raise ParseError("no corpus selected: use --exhaustive, --fixtures, --family or --sample")
-    return [(to_graph6(g), g) for g in graphs], meta, False
+    return sorted(items, key=lambda item: (item[1].n, item[0])), meta, details
 
 
 def _verify_table(report) -> str:

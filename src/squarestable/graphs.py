@@ -495,11 +495,6 @@ def is_stable_set(g: Graph, vertices: Iterable[int]) -> bool:
     return not _reach(g.adj, m) & m
 
 
-def is_clique(g: Graph, vertices: Iterable[int]) -> bool:
-    """True iff the vertices are pairwise adjacent."""
-    return _is_clique_mask(g.adj, _vertex_mask(g.n, vertices))
-
-
 def _is_clique_mask(adj: tuple[int, ...], m: int) -> bool:
     """True iff the vertices of the mask ``m`` are pairwise adjacent."""
     mm = m

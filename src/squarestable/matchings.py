@@ -164,15 +164,6 @@ def count_perfect_matchings(g: Graph, cap: int = 2) -> int:
     return _count_matchings_into(g, full, full, cap)[0]
 
 
-def has_induced_perfect_matching(g: Graph) -> bool:
-    """True iff some perfect matching of ``g`` is an induced matching.
-
-    An induced perfect matching covers every vertex and leaves no other edge,
-    so it is the whole edge set: every vertex has degree exactly 1.
-    """
-    return all(m.bit_count() == 1 for m in g.adj)
-
-
 def pendant_perfect_matching(g: Graph) -> Optional[Matching]:
     """The perfect matching made of pendant edges, if one exists.
 

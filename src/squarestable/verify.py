@@ -11,14 +11,16 @@ graph and its caps.  Every suite has one shape: a private function of the
 graph and its caps that returns ``None`` when the suite's hypotheses exclude
 the graph, or else the graph's detail record and its violations.  The suites
 are a registry that one loop, ``run_suite``, runs over a corpus; it is the
-one per-graph entry point, and it adds the graph's id to each record.  The
-predicates share the values of a graph through the solvers' per-graph store,
-so each value is computed once however many of them read it, and they read
-Omega(G) and Omega(G^2) as the stored vertex masks.  A violation names its
-graph and clause.  Its witness is the disagreeing values or the failed
-internal check's message; implication clauses do not yet produce one, so
-their witness is empty.  All results are deterministic for a given corpus
-and configuration.
+one per-graph entry point, and it adds the graph's id to each record.  It
+reads the corpus once, in the caller's order, and keeps no copy of it, so a
+corpus can be streamed from its generator.  The predicates share the
+values of a graph through the solvers' per-graph store, so each value is
+computed once however many of them read it, and they read Omega(G) and
+Omega(G^2) as the stored vertex masks.  A violation names its graph and
+clause.  Its witness is the disagreeing values or the failed internal
+check's message; implication clauses do not yet produce one, so their
+witness is empty.  All results are deterministic for a given corpus, in a
+given order, and configuration.
 """
 
 from __future__ import annotations
@@ -433,11 +435,12 @@ def run_suite(
 ) -> RunReport:
     """Run the selected suites over a corpus of (graph_id, graph) pairs.
 
-    Results are deterministic: the corpus is materialised and sorted by
-    (order, graph_id) before checking, and each graph goes through the
-    selected suites in the order of ``SUITE_NAMES``.  In strict mode a cap
-    refusal propagates, the solver cap's before any suite runs; otherwise the
-    suite skips the graph.  Unknown or repeated suites raise ``ValueError``.
+    The corpus is read once, in the order given, which is the report's
+    order: each pair goes through the selected suites, in the order of
+    ``SUITE_NAMES``, before the next is drawn, and no copy is kept.  In
+    strict mode a cap refusal propagates, the solver cap's before any suite
+    runs; otherwise the suite skips the graph.  Unknown or repeated suites
+    raise ``ValueError`` before the first pair is drawn.
     """
     chosen = list(suites)
     for i, name in enumerate(chosen):
@@ -445,10 +448,10 @@ def run_suite(
             raise ValueError(f"unknown suite {name!r}; known: {', '.join(SUITE_NAMES)}")
         if name in chosen[:i]:
             raise ValueError(f"suite {name!r} named twice")
-    corpus = sorted(items, key=lambda item: (item[1].n, item[0]))
     results = {name: SuiteResult(name) for name in SUITE_NAMES if name in chosen}
-
-    for gid, g in corpus:
+    total = 0
+    for gid, g in items:
+        total += 1
         if strict:
             _check_cap(g.n, cap)
         for name, res in results.items():
@@ -470,4 +473,4 @@ def run_suite(
                 for clause, witness in violations
             )
 
-    return RunReport([results[name] for name in chosen], len(corpus))
+    return RunReport([results[name] for name in chosen], total)

@@ -9,6 +9,8 @@ from squarestable.classify import (
     AlphaPlusClass,
     _CLASS_BY_CORE_SIZE,
     _core,
+    _p1,
+    _p2,
     alpha_minus_stable,
     alpha_plus_class,
     classify,
@@ -18,8 +20,6 @@ from squarestable.classify import (
     is_very_well_covered,
     is_well_covered,
     omega_is_matroid,
-    p1_unique_matchability,
-    p2_exchangeability,
     pendants_contain_maximum_stable_set,
     property_p1,
     property_p2,
@@ -301,8 +301,9 @@ def test_one_route_predicates_match_their_definitions():
         assert alpha_minus_stable(g) == alpha_minus_by_omega_neighbourhoods(g), g
         family = set(enumerate_maximum_stable_sets(g).sets)
         for s in family | set(enumerate_maximum_stable_sets(square(g)).sets):
-            assert p1_unique_matchability(g, s) == p1_by_stable_subsets(g, s), (g, s)
-            assert p2_exchangeability(g, s) == p2_by_stable_subsets(g, s), (g, s)
+            m = sum(1 << v for v in s)
+            assert _p1(g, m) == p1_by_stable_subsets(g, s), (g, s)
+            assert _p2(g, m, None) == p2_by_stable_subsets(g, s), (g, s)
         assert classify(g).omega_matroid == omega_is_matroid(g), g
 
 
@@ -442,6 +443,7 @@ def test_property_p1_precondition():
 def test_the_witness_and_the_exchange_properties_honour_the_solver_cap():
     # the corona of C5 is square-stable, and its pendants are a maximum stable set
     g, pendants = corona_with_k1(cycle_graph(5)), {5, 6, 7, 8, 9}
+    mask = sum(1 << v for v in pendants)
     message = r"^exact solver cap exceeded \(10 > 9\)$"
     with pytest.raises(CapExceededError, match=message):
         square_stable_witness(g, cap=9)
@@ -450,10 +452,10 @@ def test_the_witness_and_the_exchange_properties_honour_the_solver_cap():
     with pytest.raises(CapExceededError, match=message):
         property_p2(g, pendants, cap=9)
     with pytest.raises(CapExceededError, match=message):
-        p2_exchangeability(g, pendants, cap=9)
+        _p2(g, mask, 9)
     assert len(square_stable_witness(g, cap=10)) == 5
     assert property_p1(g, pendants, cap=10) and property_p2(g, pendants, cap=10)
-    assert p2_exchangeability(g, pendants, cap=10)
+    assert _p2(g, mask, 10)
 
 
 def test_property_p2_examples():
@@ -468,13 +470,14 @@ def test_p2_matches_the_stable_set_scan_on_every_stable_set():
     for g in enumerate_corpus(6, connected_only=False):
         for m in stable_subsets(g, g.full_mask()):
             s = bit_indices(m)
-            assert p2_exchangeability(g, s) == p2_by_stable_subsets(g, s), (g, s)
+            assert _p2(g, m, None) == p2_by_stable_subsets(g, s), (g, s)
 
 
 @given(graphs(max_n=8), st.data())
 def test_p2_matches_the_stable_set_scan_on_drawn_stable_sets(g, data):
-    s = bit_indices(data.draw(st.sampled_from(list(stable_subsets(g, g.full_mask())))))
-    assert p2_exchangeability(g, s) == p2_by_stable_subsets(g, s), (g, s)
+    m = data.draw(st.sampled_from(list(stable_subsets(g, g.full_mask()))))
+    s = bit_indices(m)
+    assert _p2(g, m, None) == p2_by_stable_subsets(g, s), (g, s)
 
 
 def test_p2_refuses_a_non_stable_set():
@@ -482,7 +485,7 @@ def test_p2_refuses_a_non_stable_set():
     # extension formula (False) part ways on this set
     g = Graph.from_edges(6, [(0, 5), (1, 5), (2, 3), (2, 4), (3, 4)])
     with pytest.raises(ValueError, match="s must be a stable set"):
-        p2_exchangeability(g, {0, 1, 2, 3})
+        _p2(g, 0b1111, None)  # {0, 1, 2, 3}
 
 
 def test_property_p2_answers_a_64_vertex_corona_at_once():
@@ -495,9 +498,9 @@ def test_property_p2_answers_a_64_vertex_corona_at_once():
 
 def test_raw_p_properties_allow_non_maximum_sets():
     # singletons of the 5-cycle are maximum in its square but not in it
-    assert not p1_unique_matchability(cycle_graph(5), {0})
-    assert not p2_exchangeability(cycle_graph(5), {0})
-    assert p1_unique_matchability(complete_graph(1), {0})
+    assert not _p1(cycle_graph(5), 1 << 0)
+    assert not _p2(cycle_graph(5), 1 << 0, None)
+    assert _p1(complete_graph(1), 1 << 0)
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import squarestable.graphs as graphs_module
-from squarestable.classify import p1_unique_matchability, p2_exchangeability
 from squarestable.errors import ParseError
 from squarestable.generate import (
     canonical_graph,
@@ -18,6 +17,7 @@ from squarestable.generate import (
 from squarestable.graphs import (
     INFINITE,
     Graph,
+    _is_clique_mask,
     bit_indices,
     complement,
     components,
@@ -27,7 +27,6 @@ from squarestable.graphs import (
     induced_subgraph,
     is_bipartite,
     is_chordal,
-    is_clique,
     is_connected,
     is_stable_set,
     is_tree,
@@ -525,9 +524,6 @@ def test_has_edge_is_false_unless_both_endpoints_are_vertices():
 
 
 @pytest.mark.parametrize("call, bad", [
-    pytest.param(lambda g: is_clique(g, [0, 5]), 5, id="is_clique-pair"),
-    pytest.param(lambda g: is_clique(g, [5]), 5, id="is_clique-single"),
-    pytest.param(lambda g: is_clique(g, [-1, 0]), -1, id="is_clique-negative"),
     pytest.param(lambda g: is_stable_set(g, [0, 3]), 3, id="is_stable_set"),
     pytest.param(lambda g: is_stable_set(g, [-2]), -2, id="is_stable_set-negative"),
     pytest.param(lambda g: g.add_edge(0, 5), 5, id="add_edge"),
@@ -536,8 +532,6 @@ def test_has_edge_is_false_unless_both_endpoints_are_vertices():
     pytest.param(lambda g: g.remove_edge(-1, 0), -1, id="remove_edge-negative"),
     pytest.param(lambda g: g.degree(5), 5, id="degree"),
     pytest.param(lambda g: g.degree(-1), -1, id="degree-negative"),
-    pytest.param(lambda g: p1_unique_matchability(g, [0, 5]), 5, id="p1_unique_matchability"),
-    pytest.param(lambda g: p2_exchangeability(g, [0, 5]), 5, id="p2_exchangeability"),
     pytest.param(lambda g: match_into(g, {5}, {0}), 5, id="match_into"),
     pytest.param(lambda g: match_into(g, {-1}, {0}), -1, id="match_into-negative"),
     pytest.param(lambda g: match_into(g, {0}, {5}), 5, id="match_into-into"),
@@ -559,15 +553,17 @@ def test_is_clique_matches_the_pairwise_oracle(g, data):
         within = list(range(g.n))
     pick = data.draw(st.integers(0, (1 << len(within)) - 1))
     vertices = [w for i, w in enumerate(within) if pick >> i & 1]
-    assert is_clique(g, vertices) == oracle_is_clique(g, vertices)
+    mask = sum(1 << w for w in vertices)
+    assert _is_clique_mask(g.adj, mask) == oracle_is_clique(g, vertices)
 
 
 def test_is_clique_sees_any_one_missing_pair():
     for n in range(2, 7):
-        assert is_clique(complete_graph(n), range(n))
+        full = (1 << n) - 1
+        assert _is_clique_mask(complete_graph(n).adj, full)
         for u in range(n):
             for v in range(u + 1, n):
-                assert not is_clique(complete_graph(n).remove_edge(u, v), range(n)), (n, u, v)
+                assert not _is_clique_mask(complete_graph(n).remove_edge(u, v).adj, full), (n, u, v)
 
 
 @given(st.one_of(graphs(max_n=10), sparse_graphs()), st.data())

@@ -18,7 +18,6 @@ from squarestable.graphs import Graph, is_bipartite
 from squarestable.matchings import (
     PerfectMatchingStatus,
     count_perfect_matchings,
-    has_induced_perfect_matching,
     is_induced_matching,
     is_valid_matching,
     match_into,
@@ -27,6 +26,7 @@ from squarestable.matchings import (
     pendant_perfect_matching,
     unique_perfect_matching,
 )
+from squarestable.verify import _induced_pm
 from oracles import (
     enumerate_perfect_matchings,
     induced_perfect_matching_by_enumeration,
@@ -211,6 +211,10 @@ def test_is_induced_matching_rejects_invalid():
 
 
 def test_has_induced_perfect_matching():
+    # the degree rule of the symmetric-difference statement, on the whole graph
+    def has_induced_perfect_matching(g):
+        return _induced_pm(g, g.full_mask())
+
     assert has_induced_perfect_matching(path_graph(2))
     assert has_induced_perfect_matching(Graph.from_edges(4, [(0, 1), (2, 3)]))
     # C6 has perfect matchings but none induced

@@ -1,5 +1,6 @@
 """Checks on the package's own source: no import goes unused, no private
-helper is left without a caller, no defaulted parameter goes unpassed, and
+helper is left without a caller, no public function or class is left
+neither exported nor read, no defaulted parameter goes unpassed, and
 nothing reads the process environment."""
 
 import ast
@@ -50,20 +51,32 @@ def unused_imports(modules: dict[str, ast.Module]) -> list[str]:
     return out
 
 
-def dead_helpers(modules: dict[str, ast.Module]) -> list[str]:
-    """Each module-level private function or class that nothing in the
-    package reads outside its own definition, as ``module: name``."""
+def _unread(modules: dict[str, ast.Module], private: bool) -> list[str]:
+    """Each module-level function or class, private or public as asked, that
+    nothing in the package reads outside its own definition, as ``module:
+    name``.  ``__init__.py`` imports every export, so an export is read."""
+    reads = [(stmt, _referenced([stmt])) for tree in modules.values() for stmt in tree.body]
     out = []
     for name, tree in modules.items():
         for node in tree.body:
             if not (isinstance(node, (ast.FunctionDef, ast.ClassDef))
-                    and node.name.startswith("_") and not node.name.startswith("__")):
+                    and node.name.startswith("_") == private
+                    and not node.name.startswith("__")):
                 continue
-            elsewhere = [stmt for other, t in modules.items() for stmt in t.body
-                         if not (other == name and stmt is node)]
-            if node.name not in _referenced(elsewhere):
+            if not any(node.name in names for stmt, names in reads if stmt is not node):
                 out.append(f"{name}: {node.name}")
     return out
+
+
+def dead_helpers(modules: dict[str, ast.Module]) -> list[str]:
+    """Each private function or class that has no caller in the package."""
+    return _unread(modules, private=True)
+
+
+def orphan_public_names(modules: dict[str, ast.Module]) -> list[str]:
+    """Each public function or class that the package neither exports nor
+    reads: a wrapper no route takes, kept alive only by its tests."""
+    return _unread(modules, private=False)
 
 
 def uncalled_defaults(modules: dict[str, ast.Module], callers) -> list[str]:
@@ -132,6 +145,10 @@ def test_every_private_helper_has_a_caller():
     assert dead_helpers(_modules()) == []
 
 
+def test_every_public_name_is_exported_or_read():
+    assert orphan_public_names(_modules()) == []
+
+
 def test_every_defaulted_parameter_has_a_caller():
     modules = _modules()
     assert uncalled_defaults(modules, _callers(modules)) == []
@@ -147,8 +164,11 @@ def test_the_checks_catch_a_planted_fault():
         "import os\n"
         "from .graphs import Graph, square\n\n"
         "def _orphan(g: Graph, first=0, cap=None, *, strict=False) -> int:\n"
-        "    return _orphan(g, 1, strict=os.environ.get('STRICT'))\n")
+        "    return _orphan(g, 1, strict=os.environ.get('STRICT'))\n\n"
+        "def stray(g: Graph) -> int:\n"
+        "    return stray(g)\n")
     assert unused_imports(planted) == ["planted.py: square"]
     assert dead_helpers(planted) == ["planted.py: _orphan"]
+    assert orphan_public_names(planted) == ["planted.py: stray"]
     assert uncalled_defaults(planted, _callers(planted)) == ["planted.py: _orphan(cap)"]
     assert environment_reads(planted) == ["planted.py: environ"]

@@ -29,7 +29,6 @@ from squarestable.graphs import (
 from squarestable.classify import is_koenig_egervary
 from squarestable.matchings import (
     count_perfect_matchings,
-    has_induced_perfect_matching,
     matching_number,
 )
 from squarestable.solvers import enumerate_maximum_stable_sets, invariant_chain
@@ -42,7 +41,13 @@ from squarestable.verify import (
     _unique_pm,
     run_suite,
 )
-from oracles import oracle_alpha, oracle_distances, oracle_maximal_stable_sets, oracle_omega
+from oracles import (
+    induced_perfect_matching_by_enumeration,
+    oracle_alpha,
+    oracle_distances,
+    oracle_maximal_stable_sets,
+    oracle_omega,
+)
 from strategies import graphs
 
 
@@ -134,7 +139,7 @@ def assert_mask_routes_match_the_subgraph(g, d):
     h, _ = induced_subgraph(g, bit_indices(d))
     assert _unique_pm(g, d) == (count_perfect_matchings(h, 2) == 1), (g, d)
     assert _has_pm(g, d) == (2 * matching_number(h) == h.n), (g, d)
-    assert _induced_pm(g, d) == has_induced_perfect_matching(h), (g, d)
+    assert _induced_pm(g, d) == induced_perfect_matching_by_enumeration(h), (g, d)
 
 
 @given(graphs(max_n=9), st.data())
@@ -338,15 +343,19 @@ def test_run_suite_empty_corpus():
 
 
 def test_run_suite_rejects_unknown_suite():
+    corpus = iter([("k2", complete_graph(2))])
     with pytest.raises(ValueError, match="unknown suite"):
-        run_suite([], ("nonesuch",))
+        run_suite(corpus, ("nonesuch",))
+    assert next(corpus)[0] == "k2"  # not drawn
 
 
 def test_run_suite_rejects_a_suite_named_twice():
     # each name would get its own row of the report, and violations_total
     # would count the suite's violations once per row
+    corpus = iter([("k2", complete_graph(2))])
     with pytest.raises(ValueError, match="suite 'chain' named twice"):
-        run_suite([("k2", complete_graph(2))], ("chain", "tree", "chain"))
+        run_suite(corpus, ("chain", "tree", "chain"))
+    assert next(corpus)[0] == "k2"  # not drawn
 
 
 def test_run_suite_deterministic():
@@ -354,6 +363,45 @@ def test_run_suite_deterministic():
     a = run_suite(items, SUITE_NAMES).as_dict(include_details=True)
     b = run_suite(items, SUITE_NAMES).as_dict(include_details=True)
     assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
+
+
+def test_run_suite_draws_each_pair_after_the_last_went_through_its_suites(monkeypatch):
+    # a generator corpus is streamed: nothing is drawn ahead of the suites
+    from squarestable import verify
+
+    log = []
+    for name in ("chain", "tree"):
+        monkeypatch.setitem(
+            verify._SUITES, name,
+            lambda g, cap, cap_omega, name=name, suite=verify._SUITES[name]:
+            log.append((name, to_graph6(g))) or suite(g, cap, cap_omega))
+    graphs = (complete_graph(3), path_graph(4), cycle_graph(5))
+
+    def corpus():
+        for g in graphs:
+            log.append(("draw", to_graph6(g)))
+            yield to_graph6(g), g
+
+    report = run_suite(corpus(), ("tree", "chain"))
+    assert log == [(step, to_graph6(g)) for g in graphs for step in ("draw", "chain", "tree")]
+    assert report.graphs_total == 3
+
+
+def test_run_suite_reports_in_the_order_given(monkeypatch):
+    from squarestable import verify
+    from squarestable.errors import InternalCheckError
+
+    def broken(*args, **kwargs):
+        raise InternalCheckError("routes disagree")
+
+    monkeypatch.setattr(verify, "invariant_chain", broken)
+    # sorted by (order, graph_id) it would read a, k3, p4, c5
+    items = [("p4", path_graph(4)), ("k3", complete_graph(3)), ("c5", cycle_graph(5)),
+             ("a", complete_graph(3))]
+    equivalences, chain = run_suite(items, ("equivalences", "chain"), keep_details=True).suites
+    given = [gid for gid, _ in items]
+    assert [d["graph_id"] for d in equivalences.details] == given
+    assert [v["graph_id"] for v in chain.violations] == given
 
 
 def test_run_suite_strict_cap():
@@ -403,7 +451,7 @@ def test_run_suite_records_violations(monkeypatch, capsys):
     monkeypatch.setattr(verify, "is_square_stable", lambda g, cap=None: False)
     monkeypatch.setattr(verify, "_recursion_edge", lambda t, cap: None)
 
-    items = [("c5", cycle_graph(5)), ("p4", path_graph(4)), ("k3", complete_graph(3))]
+    items = [("k3", complete_graph(3)), ("p4", path_graph(4)), ("c5", cycle_graph(5))]
     report = run_suite(items, SUITE_NAMES).as_dict()
 
     def records(gid_clause_witness):
